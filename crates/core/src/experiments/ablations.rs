@@ -183,6 +183,7 @@ pub struct P2pReport {
 /// regular session. The P2P mesh removes the server but makes the
 /// *uplink* scale with the user count too — the paper's point.
 pub fn p2p_scaling(cfg: &AblationConfig) -> P2pReport {
+    use svr_netsim::packet::zero_payload;
     use svr_netsim::{LinkSpec, Network, NodeKind};
     use svr_transport::udp::{MsgKind, UdpChannel};
 
@@ -238,7 +239,7 @@ pub fn p2p_scaling(cfg: &AblationConfig) -> P2pReport {
         let tick = SimDuration::from_secs_f64(1.0 / pcfg.avatar_tick_hz);
         let mut t = SimTime::ZERO;
         let end = SimTime::from_secs(cfg.duration_s.min(20));
-        let body = vec![0u8; update_bytes];
+        let body = zero_payload(update_bytes);
         while t < end {
             t += tick;
             net.poll_all(t);

@@ -2,20 +2,28 @@
 //!
 //! A minimal, dependency-free replacement for the `bytes` crate covering
 //! exactly the surface the simulator uses: an immutable, cheaply-cloneable
-//! [`Bytes`] (shared `Arc<[u8]>` storage with zero-copy `clone`/`slice`)
-//! and a growable [`BytesMut`] writer with big-endian `put_*` methods,
-//! `split_to` framing, and `freeze`. Keeping this in-tree is part of the
+//! [`Bytes`] (a shared view with zero-copy `clone`/`slice`) and a growable
+//! [`BytesMut`] writer with big-endian `put_*` methods, `split_to`
+//! framing, and `freeze`. Keeping this in-tree is part of the
 //! offline/no-deps policy: the default feature set of the workspace must
 //! build and test with no network access and no registry cache.
 //!
-//! Cost model: `Bytes::clone` and `Bytes::slice` copy nothing.
-//! `BytesMut::split_to(at)` copies only the `at` bytes it returns; the
-//! remaining bytes stay where they are behind a read offset, and the
-//! consumed prefix is reclaimed (the live bytes moved to the front) once
-//! it is at least half of the storage, so cutting a buffer into frames
-//! costs amortised O(1) per byte. Splitting off the whole buffer hands
-//! its storage over without a copy. `freeze` copies the live bytes once
-//! into a new shared allocation.
+//! Cost model: a [`Bytes`] is 16 bytes, an `Option<Arc<Vec<u8>>>` plus
+//! `u32` view offsets, so it fits twice into a [`crate::Packet`] (head
+//! and body) without growing it. Every empty view holds `None`: an empty
+//! body allocates nothing and touches no reference count. `Bytes::clone`
+//! and `Bytes::slice` copy nothing. `BytesMut::freeze` and
+//! `Bytes::from(Vec<u8>)` move the vector into shared storage without
+//! copying it, unless its capacity exceeds twice the live bytes: then the
+//! live bytes are copied once into an exactly sized vector, so that a
+//! small frame cut from a drained multi-megabyte buffer does not keep the
+//! whole allocation alive. `BytesMut::split_to(at)` copies only the `at`
+//! bytes it returns; the remaining bytes stay where they are behind a
+//! read offset, and the consumed prefix is reclaimed (the live bytes
+//! moved to the front) once it is at least half of the storage, so
+//! cutting a buffer into frames costs amortised O(1) per byte. Splitting
+//! off the whole buffer hands its storage over without a copy.
+//! `copy_from_slice` costs two allocations: the vector and its `Arc`.
 
 use std::fmt;
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
@@ -24,18 +32,29 @@ use std::sync::Arc;
 /// A cheaply cloneable, immutable, contiguous slice of memory.
 ///
 /// `clone` and [`slice`](Bytes::slice) are O(1): they share the same
-/// reference-counted allocation and only adjust the view window.
+/// reference-counted allocation and only adjust the view window. A view
+/// holds at most `u32::MAX` bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+    /// Shared storage; `None` exactly when the view is empty.
+    data: Option<Arc<Vec<u8>>>,
+    /// The view is `data[start..end]`.
+    start: u32,
+    end: u32,
+}
+
+/// A view offset as stored in [`Bytes`].
+///
+/// # Panics
+/// Panics past `u32::MAX`: a view that long cannot be represented.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| panic!("buffer of {n} bytes exceeds the u32 view bound"))
 }
 
 impl Bytes {
-    /// An empty buffer (does not allocate a backing store per call).
-    pub fn new() -> Self {
-        Bytes::default()
+    /// An empty buffer; allocates nothing.
+    pub const fn new() -> Self {
+        Bytes { data: None, start: 0, end: 0 }
     }
 
     /// A buffer viewing a static slice (copied once into shared storage).
@@ -45,14 +64,27 @@ impl Bytes {
 
     /// Copy `data` into a new shared buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        let arc: Arc<[u8]> = Arc::from(data);
-        let len = arc.len();
-        Bytes { data: arc, start: 0, end: len }
+        Bytes::share(data.to_vec(), 0)
+    }
+
+    /// Share `v[start..]`: moves `v` into the `Arc` when its capacity is
+    /// at most twice the live bytes, and copies the live bytes into an
+    /// exactly sized vector otherwise.
+    fn share(v: Vec<u8>, start: usize) -> Self {
+        let live = v.len() - start;
+        if live == 0 {
+            return Bytes::new();
+        }
+        if v.capacity() > 2 * live {
+            return Bytes::share(v[start..].to_vec(), 0);
+        }
+        let end = offset(v.len());
+        Bytes { data: Some(Arc::new(v)), start: offset(start), end }
     }
 
     /// Number of bytes in the view.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Whether the view is empty.
@@ -78,16 +110,22 @@ impl Bytes {
         };
         assert!(begin <= end, "slice range reversed: {begin}..{end}");
         assert!(end <= len, "slice out of bounds: {end} > {len}");
+        if begin == end {
+            return Bytes::new();
+        }
         Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + begin,
-            end: self.start + end,
+            data: self.data.clone(),
+            start: self.start + begin as u32,
+            end: self.start + end as u32,
         }
     }
 
     /// The bytes as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(d) => &d[self.start as usize..self.end as usize],
+            None => &[],
+        }
     }
 }
 
@@ -163,10 +201,10 @@ impl PartialEq<Vec<u8>> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Moves `v` into shared storage; see [`BytesMut::freeze`] for when
+    /// it copies instead.
     fn from(v: Vec<u8>) -> Self {
-        let arc: Arc<[u8]> = Arc::from(v);
-        let len = arc.len();
-        Bytes { data: arc, start: 0, end: len }
+        Bytes::share(v, 0)
     }
 }
 
@@ -185,7 +223,7 @@ impl From<BytesMut> for Bytes {
 /// A growable byte buffer for assembling frames.
 ///
 /// Writes append at the end; [`split_to`](BytesMut::split_to) removes a
-/// framed prefix; [`freeze`](BytesMut::freeze) copies the bytes into an
+/// framed prefix; [`freeze`](BytesMut::freeze) turns the bytes into an
 /// immutable [`Bytes`]. Only the live bytes, those written and not yet
 /// split off, are observable: length, slices, `Debug` and `==` never see
 /// the consumed prefix.
@@ -292,9 +330,13 @@ impl BytesMut {
         prefix
     }
 
-    /// Copy the bytes into an immutable [`Bytes`].
+    /// Turn the live bytes into an immutable [`Bytes`].
+    ///
+    /// Moves the storage without copying, unless its capacity is more
+    /// than twice the live bytes: then the live bytes are copied once, so
+    /// that a short frame does not pin a large, mostly spent allocation.
     pub fn freeze(self) -> Bytes {
-        Bytes::copy_from_slice(&self)
+        Bytes::share(self.data, self.head)
     }
 }
 
@@ -344,7 +386,84 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(c, b);
-        assert!(Arc::ptr_eq(&b.data, &s.data));
+        assert!(Arc::ptr_eq(b.data.as_ref().unwrap(), s.data.as_ref().unwrap()));
+    }
+
+    #[test]
+    fn empty_views_allocate_nothing() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 16);
+        let b = Bytes::from(vec![1, 2, 3]);
+        let empties = [
+            Bytes::new(),
+            Bytes::default(),
+            Bytes::copy_from_slice(&[]),
+            Bytes::from(Vec::with_capacity(64)),
+            BytesMut::with_capacity(64).freeze(),
+            b.slice(1..1),
+            b.slice(3..),
+        ];
+        for e in &empties {
+            assert!(e.data.is_none() && e.is_empty(), "{e:?} holds storage");
+            assert_eq!(e.as_slice(), &[] as &[u8]);
+        }
+        let storage = b.data.as_ref().unwrap();
+        assert_eq!(Arc::strong_count(storage), 1, "no empty view took a reference");
+    }
+
+    #[test]
+    fn freeze_moves_the_vector() {
+        let mut m = BytesMut::with_capacity(100);
+        m.put_bytes(7, 100);
+        let storage = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), storage, "freeze copied the bytes");
+        // A consumed prefix stays behind the view's start offset.
+        let mut m = BytesMut::with_capacity(100);
+        m.put_slice(&[1u8; 100]);
+        let _ = m.split_to(10);
+        let live = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!((b.as_ptr(), b.len()), (live, 90));
+        let v = vec![3u8; 64];
+        let storage = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), storage, "From<Vec> copied the bytes");
+    }
+
+    #[test]
+    fn freeze_copies_once_capacity_exceeds_twice_the_live_bytes() {
+        // Exactly twice the live bytes: moved.
+        let mut m = BytesMut::with_capacity(1_000);
+        m.put_bytes(1, 500);
+        let storage = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), storage);
+        // One byte fewer: copied into an exactly sized vector.
+        let mut m = BytesMut::with_capacity(1_000);
+        m.put_bytes(1, 499);
+        let storage = m.as_ptr();
+        let b = m.freeze();
+        assert_ne!(b.as_ptr(), storage);
+        assert_eq!(b, vec![1u8; 499]);
+        assert_eq!(b.data.as_ref().unwrap().capacity(), 499);
+        // The last segment cut from a drained send queue does not pin it.
+        let mut queue = BytesMut::new();
+        queue.put_bytes(2, 1_000_000);
+        while queue.len() > 1_400 {
+            let _ = queue.split_to(1_400).freeze();
+        }
+        let last = queue.split_to(queue.len()).freeze();
+        assert_eq!(last.len(), 1_000_000 % 1_400);
+        assert_eq!(last.data.as_ref().unwrap().capacity(), last.len());
+    }
+
+    #[test]
+    fn offsets_are_bounded_by_u32() {
+        assert_eq!(offset(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u32 view bound")]
+    fn offsets_past_u32_panic() {
+        let _ = offset(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl CaptureTap {
                 proto: pkt.header.proto,
             },
             wire_bytes: pkt.wire_size().as_bytes(),
-            payload_len: pkt.payload.len() as u32,
+            payload_len: pkt.payload_len() as u32,
             direction,
             packet_id: pkt.id,
         });
@@ -134,6 +134,17 @@ mod tests {
         assert_eq!(r.payload_len, 120);
         assert_eq!(r.packet_id, 77);
         assert_eq!(r.direction, Direction::Uplink);
+    }
+
+    #[test]
+    fn head_body_split_records_like_its_one_part_twin() {
+        let one = mk_pkt(1, 9, Proto::Udp, 120, 77);
+        let mut tap = CaptureTap::new();
+        tap.record(SimTime::from_secs(5), &one, Direction::Uplink);
+        tap.record(SimTime::from_secs(5), &one.cut_at(16), Direction::Uplink);
+        let [a, b] = tap.records() else { panic!("two records") };
+        assert_eq!((b.payload_len, b.wire_bytes), (120, 34 + 8 + 120));
+        assert_eq!(a, b);
     }
 
     #[test]

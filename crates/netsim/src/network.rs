@@ -272,9 +272,10 @@ impl Network {
         let link = &mut self.links[link_id.index()];
         link.stats.tx_packets += 1;
         link.stats.tx_bytes += packet.wire_size().as_bytes();
-        // Fault injection: flip one payload byte. A checksummed transport
-        // (TCP) detects and discards the segment — identical to loss from
-        // the endpoint's view; datagrams deliver the damage upward.
+        // Fault injection: flip one byte of `payload ++ body`. A
+        // checksummed transport (TCP) detects and discards the segment —
+        // identical to loss from the endpoint's view; datagrams deliver
+        // the damage upward.
         let corrupt_p = link.impairment_at(now, packet.header.proto).corrupt;
         let loss = link.effective_loss(now, packet.header.proto);
         let mut delay = link.effective_delay(now, packet.header.proto);
@@ -286,15 +287,22 @@ impl Network {
             );
         }
         let mut lost = self.rng.chance(loss);
-        if !lost && corrupt_p > 0.0 && self.rng.chance(corrupt_p) && !packet.payload.is_empty() {
+        if !lost && corrupt_p > 0.0 && self.rng.chance(corrupt_p) && packet.payload_len() > 0 {
             if packet.header.proto == crate::packet::Proto::Tcp {
                 // The receiver's checksum discards it.
                 lost = true;
             } else {
-                let idx = self.rng.index(packet.payload.len());
-                let mut bytes = packet.payload.to_vec();
+                // Only the damaged part is copied; the other stays shared.
+                let mut idx = self.rng.index(packet.payload_len());
+                let part = if idx < packet.payload.len() {
+                    &mut packet.payload
+                } else {
+                    idx -= packet.payload.len();
+                    &mut packet.body
+                };
+                let mut bytes = part.to_vec();
                 bytes[idx] ^= 0xA5;
-                packet.payload = crate::buf::Bytes::from(bytes);
+                *part = crate::buf::Bytes::from(bytes);
             }
         }
         if lost {
@@ -604,6 +612,38 @@ mod tests {
         }
         let delivered = net.poll_all(SimTime::from_secs(60)).len();
         assert_eq!(delivered, 0, "all corrupted TCP segments dropped");
+    }
+
+    #[test]
+    fn corruption_flips_the_same_offset_in_either_part() {
+        // Packet i is cut into a head of i bytes and a body, so the flip
+        // lands in the head for some packets and in the body for others.
+        let flipped = |split: bool| {
+            let (mut net, a, b) = two_node_net(LinkSpec::campus());
+            let link = net.link_between(a, b).unwrap();
+            net.link_mut(link).set_netem(NetemSchedule::from_stages(vec![NetemStage {
+                start: SimTime::ZERO,
+                end: SimTime::from_secs(1000),
+                impairment: Impairment::corrupt(1.0),
+            }]));
+            for i in 0..=64 {
+                let p = udp_pkt(64);
+                net.send(a, b, if split { p.cut_at(i) } else { p });
+            }
+            net.poll_all(SimTime::from_secs(10))
+                .iter()
+                .map(|d| {
+                    let bytes = [&d.packet.payload[..], &d.packet.body[..]].concat();
+                    let at = bytes.iter().position(|&x| x != 0).expect("one byte flipped");
+                    (at, at < d.packet.payload.len())
+                })
+                .collect::<Vec<_>>()
+        };
+        let whole = flipped(false);
+        let split = flipped(true);
+        let offsets = |v: &[(usize, bool)]| v.iter().map(|x| x.0).collect::<Vec<_>>();
+        assert_eq!(offsets(&split), offsets(&whole));
+        assert!(split.iter().any(|x| x.1) && split.iter().any(|x| !x.1), "both parts hit");
     }
 
     #[test]

@@ -138,13 +138,15 @@ pub const L2_L3_OVERHEAD: u64 = 34;
 /// An all-zero payload of `len` bytes backed by a shared, thread-local
 /// buffer: repeated padding bodies (status beacons, synthetic video
 /// frames, fixed-size game ticks) alias one allocation instead of
-/// building a fresh `Vec` per packet. The backing block grows
-/// monotonically to the largest size requested, so steady-state calls
-/// are O(1) reference-count bumps.
+/// building a fresh `Vec` per packet. Passed as a datagram body, the
+/// slice reaches the wire and the receiver without being copied, so
+/// every remote-render frame a thread emits references this one block.
+/// The backing block grows monotonically to the largest size requested,
+/// so steady-state calls are O(1) reference-count bumps.
 pub fn zero_payload(len: usize) -> Bytes {
     use std::cell::RefCell;
     thread_local! {
-        static ZEROS: RefCell<Bytes> = RefCell::new(Bytes::new());
+        static ZEROS: RefCell<Bytes> = const { RefCell::new(Bytes::new()) };
     }
     ZEROS.with(|z| {
         let mut z = z.borrow_mut();
@@ -156,12 +158,22 @@ pub fn zero_payload(len: usize) -> Bytes {
 }
 
 /// A packet in flight.
+///
+/// Its application bytes are `payload ++ body`: a small head, such as a
+/// datagram channel's own header, and a shared body that fan-outs and
+/// repeated frames reference without copying. Sizes, captures, the wire
+/// encoding and fault injection all see the concatenation, so a packet
+/// and its one-part twin carrying the same bytes are indistinguishable
+/// on the simulated wire. Protocols that frame their bytes themselves
+/// (TCP, RTP, ICMP) leave `body` empty.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Transport header.
     pub header: TransportHeader,
-    /// Application payload bytes.
+    /// Application payload bytes (the head of `payload ++ body`).
     pub payload: Bytes,
+    /// Application bytes carried after `payload`.
+    pub body: Bytes,
     /// Node that originated the packet (filled in by [`crate::Network::send`]).
     pub src: NodeId,
     /// Final destination node (filled in by [`crate::Network::send`]).
@@ -172,12 +184,20 @@ pub struct Packet {
     pub id: u64,
 }
 
+// Every event, queue slot and delivery moves a `Packet` by value.
+// Padding it from 80 to 112 bytes, the size a second 32-byte buffer
+// would give, made session-horizon's `step_ms_p50` 6% slower in the
+// median, and slower in 5 of 6 paired benchmark runs on a 2-vCPU VM.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 80, "Packet grew past 80 bytes");
+
 impl Packet {
-    /// Build a packet; routing fields are filled in by [`crate::Network::send`].
+    /// Build a one-part packet; routing fields are filled in by
+    /// [`crate::Network::send`].
     pub fn new(header: TransportHeader, payload: Bytes) -> Self {
         Packet {
             header,
             payload,
+            body: Bytes::new(),
             src: NodeId(u32::MAX),
             dst: NodeId(u32::MAX),
             sent_at: SimTime::ZERO,
@@ -187,12 +207,23 @@ impl Packet {
 
     /// Total size on the wire, headers included.
     pub fn wire_size(&self) -> ByteSize {
-        ByteSize::from_bytes(L2_L3_OVERHEAD + self.header.proto.header_len() + self.payload.len() as u64)
+        ByteSize::from_bytes(L2_L3_OVERHEAD + self.header.proto.header_len() + self.payload_len() as u64)
     }
 
-    /// Payload length in bytes.
+    /// Length of the application bytes, `payload ++ body`.
     pub fn payload_len(&self) -> usize {
-        self.payload.len()
+        self.payload.len() + self.body.len()
+    }
+}
+
+#[cfg(test)]
+impl Packet {
+    /// The same packet with its application bytes re-cut into
+    /// `payload[..at]` and `body[at..]`: the head+body twin of a one-part
+    /// packet, for equivalence tests.
+    pub(crate) fn cut_at(&self, at: usize) -> Packet {
+        let all = Bytes::from([&self.payload[..], &self.body[..]].concat());
+        Packet { payload: all.slice(..at), body: all.slice(at..), ..self.clone() }
     }
 }
 
@@ -223,6 +254,9 @@ mod tests {
             Bytes::from_static(&[0u8; 100]),
         );
         assert_eq!(p.wire_size().as_bytes(), 34 + 8 + 100);
+        let split = p.cut_at(16);
+        assert_eq!((split.payload.len(), split.body.len()), (16, 84));
+        assert_eq!((split.payload_len(), split.wire_size()), (100, p.wire_size()));
         let t = Packet::new(
             TransportHeader::tcp(1, 2, 0, 0, TcpFlags::SYN),
             Bytes::new(),

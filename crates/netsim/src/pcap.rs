@@ -192,6 +192,20 @@ mod tests {
     }
 
     #[test]
+    fn head_body_split_writes_the_same_bytes() {
+        let write = |p: &Packet| {
+            let mut w = PcapWriter::new(Vec::new()).unwrap();
+            w.write_packet(SimTime::from_millis(1500), p).unwrap();
+            w.finish().unwrap()
+        };
+        let one = pkt(b"app-header-bytes+body", 3);
+        let expect = write(&one);
+        for at in 0..=one.payload_len() {
+            assert_eq!(write(&one.cut_at(at)), expect, "cut at {at}");
+        }
+    }
+
+    #[test]
     fn empty_file_has_header_only() {
         let w = PcapWriter::new(Vec::new()).unwrap();
         let buf = w.finish().unwrap();

@@ -4,6 +4,13 @@
 //! the link is serializing another, it waits here; when the buffer is full
 //! the packet is dropped — the congestion behaviour the paper provokes
 //! with `tc-netem` rate caps in §8.
+//!
+//! The ring is not pre-sized from the byte capacity: it grows to the
+//! peak packet count the link actually queues and keeps that allocation.
+//! A `VecDeque` walks its head around the whole allocation as it wraps,
+//! so every slot of an oversized ring is eventually touched. Reserving
+//! 4,096 slots (320 KB) per 1 MB link cost a 1,024-room world about
+//! 170 MB of resident memory.
 
 use crate::packet::Packet;
 use crate::units::ByteSize;
@@ -22,16 +29,11 @@ pub struct DropTailQueue {
 }
 
 impl DropTailQueue {
-    /// Create a queue holding at most `capacity` bytes of packets.
-    ///
-    /// The ring buffer is pre-sized for the packet count the byte
-    /// capacity could plausibly hold (assuming ~256-byte packets,
-    /// capped at 4096 slots), so bursts fill existing slots instead of
-    /// reallocating mid-simulation; draining keeps the allocation.
+    /// Create a queue holding at most `capacity` bytes of packets. The
+    /// ring starts empty and allocates on the first queued packet.
     pub fn new(capacity: ByteSize) -> Self {
-        let est = (capacity.as_bytes() / 256).clamp(8, 4096) as usize;
         DropTailQueue {
-            items: VecDeque::with_capacity(est),
+            items: VecDeque::new(),
             buffered: ByteSize::ZERO,
             capacity,
             drops: 0,
@@ -143,6 +145,30 @@ mod tests {
         q.pop();
         assert_eq!(q.buffered(), ByteSize::ZERO);
         assert_eq!(q.max_buffered.as_bytes(), (34 + 8 + 100) + (34 + 8 + 200));
+    }
+
+    #[test]
+    fn ring_tracks_peak_occupancy_not_byte_capacity() {
+        let mut q = DropTailQueue::new(ByteSize::from_mb(1));
+        assert_eq!(q.items.capacity(), 0, "nothing reserved before the first packet");
+        let mut rng = crate::rng::SimRng::seed_from_u64(0x0B5E_55EE);
+        let mut peak = 0;
+        for _ in 0..10_000 {
+            let depth = rng.range_u64(1, 32) as usize;
+            for _ in q.len()..depth {
+                assert!(q.push(pkt(100)));
+            }
+            peak = peak.max(q.len());
+            for _ in 0..rng.range_u64(1, depth as u64) {
+                q.pop();
+            }
+        }
+        assert_eq!(peak, 32);
+        assert!(
+            q.items.capacity() <= 2 * peak,
+            "ring holds {} slots for a peak of {peak} packets",
+            q.items.capacity()
+        );
     }
 
     /// Property check over inputs drawn from a fixed-seed RNG.

@@ -109,10 +109,11 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-/// Encode a packet into its on-wire byte representation.
+/// Encode a packet into its on-wire byte representation; the frame's
+/// payload is the packet's `payload ++ body`.
 pub fn encode(pkt: &Packet) -> Bytes {
     let h = &pkt.header;
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + pkt.payload.len());
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + pkt.payload_len());
     buf.put_u16(MAGIC);
     buf.put_u8(proto_to_byte(h.proto));
     buf.put_u8(h.flags.to_byte());
@@ -121,11 +122,12 @@ pub fn encode(pkt: &Packet) -> Bytes {
     buf.put_u32(h.seq);
     buf.put_u32(h.ack);
     buf.put_u16(h.window);
-    buf.put_u16(pkt.payload.len() as u16);
+    buf.put_u16(pkt.payload_len() as u16);
     buf.put_u32(pkt.src.index() as u32);
     buf.put_u32(pkt.dst.index() as u32);
     buf.put_u16(0); // checksum placeholder
     buf.extend_from_slice(&pkt.payload);
+    buf.extend_from_slice(&pkt.body);
     let csum = internet_checksum(&buf);
     buf[HEADER_LEN - 2..HEADER_LEN].copy_from_slice(&csum.to_be_bytes());
     buf.freeze()
@@ -210,6 +212,15 @@ mod tests {
         assert_eq!(dec.payload, pkt.payload);
         assert_eq!(dec.src, 3);
         assert_eq!(dec.dst, 9);
+    }
+
+    #[test]
+    fn head_body_split_encodes_like_its_one_part_twin() {
+        let pkt = sample_packet(b"app-header-bytes and the shared body after it");
+        let whole = encode(&pkt);
+        for at in 0..=pkt.payload_len() {
+            assert_eq!(encode(&pkt.cut_at(at)), whole, "cut at {at}");
+        }
     }
 
     #[test]

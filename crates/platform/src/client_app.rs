@@ -406,7 +406,7 @@ impl ClientApp {
         self.transmit_data(now, kind, &body, out);
     }
 
-    fn transmit_data(&mut self, now: SimTime, kind: MsgKind, body: &[u8], out: &mut Vec<Outgoing>) {
+    fn transmit_data(&mut self, now: SimTime, kind: MsgKind, body: &Bytes, out: &mut Vec<Outgoing>) {
         match &mut self.data {
             DataChannel::NotOpen => {}
             DataChannel::Udp(c) => {
@@ -549,8 +549,8 @@ impl ClientApp {
                 out.extend(pkts.into_iter().map(|p| (self.data_server, p)));
                 for ev in stream_events {
                     if let StreamEvent::Message(m) = ev {
-                        if let Some((kind, body)) = crate::server::parse_stream_frame(&m) {
-                            msgs.push((kind, Bytes::copy_from_slice(body)));
+                        if let Some(msg) = crate::server::parse_stream_frame(&m) {
+                            msgs.push(msg);
                         }
                     }
                 }
@@ -741,7 +741,7 @@ mod tests {
             let (out, _) = a.on_tick(SimTime::from_millis(ms));
             avatar_packets += out
                 .iter()
-                .filter(|(dst, p)| *dst == a.data_server && p.payload.len() > 100)
+                .filter(|(dst, p)| *dst == a.data_server && p.payload_len() > 100)
                 .count();
         }
         // VRChat: 14 Hz avatar updates (status msgs are smaller).
@@ -801,7 +801,7 @@ mod tests {
         let mut out = Vec::new();
         a.flush_gated(SimTime::from_secs(1), &mut out);
         // Telemetry all flushed; avatar collapsed to one.
-        let avatars = out.iter().filter(|(_, p)| p.payload.len() > 500 && p.payload.len() < 700).count();
+        let avatars = out.iter().filter(|(_, p)| p.payload_len() > 500 && p.payload_len() < 700).count();
         assert!(avatars <= 2, "stale avatar updates dropped: {avatars}");
         assert!(a.gated.is_empty());
     }

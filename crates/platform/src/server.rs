@@ -11,6 +11,7 @@
 use crate::config::{DataTransport, PlatformConfig};
 use crate::stream::{StreamChannel, StreamEvent};
 use svr_netsim::buf::Bytes;
+use svr_netsim::packet::zero_payload;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use svr_avatar::motion::in_viewport;
@@ -69,10 +70,11 @@ pub fn stream_frame(kind: MsgKind, body: &[u8]) -> Vec<u8> {
     v
 }
 
-/// Split a stream message back into kind and body.
-pub fn parse_stream_frame(msg: &[u8]) -> Option<(MsgKind, &[u8])> {
-    let (&k, body) = msg.split_first()?;
-    Some((MsgKind::from_byte(k), body))
+/// Split a stream message back into kind and body; the body shares the
+/// message's storage.
+pub fn parse_stream_frame(msg: &Bytes) -> Option<(MsgKind, Bytes)> {
+    let &k = msg.first()?;
+    Some((MsgKind::from_byte(k), msg.slice(1..)))
 }
 
 enum ServerChannel {
@@ -209,8 +211,6 @@ pub struct DataServer {
     focus_scratch: Vec<(f32, u32)>,
     /// Scratch for the receiver list, reused across messages.
     recv_scratch: Vec<u32>,
-    /// Scratch zero-filled body for status/video emission.
-    zero_scratch: Vec<u8>,
     /// Counters.
     pub stats: ServerStats,
 }
@@ -234,7 +234,6 @@ impl DataServer {
             pos_epoch: 1,
             focus_scratch: Vec::new(),
             recv_scratch: Vec::new(),
-            zero_scratch: Vec::new(),
             stats: ServerStats::default(),
         }
     }
@@ -568,8 +567,8 @@ impl DataServer {
                 }
                 for ev in events {
                     if let StreamEvent::Message(m) = ev {
-                        if let Some((kind, body)) = parse_stream_frame(&m) {
-                            msgs.push((kind, Bytes::copy_from_slice(body)));
+                        if let Some(msg) = parse_stream_frame(&m) {
+                            msgs.push(msg);
                         }
                     }
                 }
@@ -585,7 +584,7 @@ impl DataServer {
         entry: &mut UserEntry,
         now: SimTime,
         kind: MsgKind,
-        body: &[u8],
+        body: &Bytes,
         out: &mut Vec<(NodeId, Packet)>,
     ) {
         match &mut entry.chan {
@@ -640,33 +639,27 @@ impl DataServer {
         } else {
             None
         };
+        // Every beacon and every frame shares one zero-filled body.
+        let status_body = zero_payload(self.server_status_bytes);
         let render = match self.policy {
             ForwardPolicy::RemoteRender { bitrate, frame_hz } => {
                 let frame_bytes = (bitrate.as_bps() as f64 / frame_hz / 8.0) as usize;
-                Some((SimDuration::from_secs_f64(1.0 / frame_hz), frame_bytes))
+                Some((SimDuration::from_secs_f64(1.0 / frame_hz), zero_payload(frame_bytes)))
             }
             _ => None,
         };
-        let status_bytes = self.server_status_bytes;
-        // One shared zero-filled body instead of a fresh Vec per user
-        // per interval; sized for the largest emission this tick.
-        let max_body = status_bytes.max(render.map(|(_, b)| b).unwrap_or(0));
-        let mut zeros = std::mem::take(&mut self.zero_scratch);
-        if zeros.len() < max_body {
-            zeros.resize(max_body, 0);
-        }
         let mut video_frames = 0;
         for entry in self.users.values_mut() {
             if let Some(interval) = status_interval {
                 if now >= entry.next_status {
                     entry.next_status = now + interval;
-                    Self::send_to(entry, now, MsgKind::Other, &zeros[..status_bytes], &mut out);
+                    Self::send_to(entry, now, MsgKind::Other, &status_body, &mut out);
                 }
             }
-            if let Some((interval, frame_bytes)) = render {
+            if let Some((interval, frame)) = &render {
                 if now >= entry.next_frame {
-                    entry.next_frame = now + interval;
-                    Self::send_to(entry, now, MsgKind::Other, &zeros[..frame_bytes], &mut out);
+                    entry.next_frame = now + *interval;
+                    Self::send_to(entry, now, MsgKind::Other, frame, &mut out);
                     video_frames += 1;
                 }
             }
@@ -680,7 +673,6 @@ impl DataServer {
                 }
             }
         }
-        self.zero_scratch = zeros;
         self.stats.video_frames += video_frames;
         out
     }
@@ -740,14 +732,46 @@ mod tests {
         // Forwards are delayed by server processing (~30 ms + queue);
         // only housekeeping status may go out immediately.
         let early = server.on_tick(SimTime::from_millis(11));
-        assert!(early.iter().all(|(_, p)| p.payload.len() < 100), "no early forwards");
+        assert!(early.iter().all(|(_, p)| p.payload_len() < 100), "no early forwards");
         let sent = server.on_tick(SimTime::from_millis(200));
         let forwards: Vec<_> = sent
             .iter()
-            .filter(|(_, p)| p.payload.len() > 50) // avatar bodies, not status
+            .filter(|(_, p)| p.payload_len() > 50) // avatar bodies, not status
             .collect();
         assert_eq!(forwards.len(), 2, "one forward per other user");
         assert_eq!(server.stats.forwards, 2);
+    }
+
+    #[test]
+    fn forwards_and_frames_share_their_source_body() {
+        let cfg = PlatformConfig::vrchat();
+        let snode = node(9);
+        let mut server = DataServer::new(snode, &cfg, 1);
+        for i in 0..4 {
+            server.register(i, node(i), 40_000 + i as u16, SimTime::ZERO);
+        }
+        let mut c0 = UdpChannel::new(0, 40_000, DATA_SERVER_PORT, SimTime::ZERO);
+        let body = avatar_body(&cfg, 0, Vec3::ZERO, 0.0);
+        let pkt = udp_avatar_packet(&mut c0, SimTime::from_millis(10), &body, node(0), snode);
+        server.on_packet(SimTime::from_millis(10), &pkt);
+        let sent = server.on_tick(SimTime::from_millis(500));
+        let forwards: Vec<_> = sent.iter().filter(|(_, p)| p.body.len() == body.len()).collect();
+        assert_eq!(forwards.len(), 3, "one forward per other user");
+        for (_, p) in forwards {
+            assert_eq!(p.body.as_ptr(), body.as_ptr(), "forward copied the upload's body");
+        }
+
+        let mut cfg = PlatformConfig::vrchat();
+        cfg.forward_policy = ForwardPolicy::RemoteRender {
+            bitrate: Bitrate::from_mbps(8),
+            frame_hz: 60.0,
+        };
+        let mut server = DataServer::new(snode, &cfg, 2);
+        server.register(0, node(0), 40_000, SimTime::ZERO);
+        let sent = server.on_tick(SimTime::ZERO);
+        let frame_bytes = 8_000_000 / 60 / 8;
+        let frame = sent.iter().find(|(_, p)| p.body.len() == frame_bytes).expect("a frame");
+        assert_eq!(frame.1.body.as_ptr(), zero_payload(frame_bytes).as_ptr(), "frame body copied");
     }
 
     #[test]
@@ -764,9 +788,9 @@ mod tests {
         // No forward before ~base_proc; exactly one within 2× base.
         let base = cfg.server_base_proc.as_millis();
         let early = server.on_tick(SimTime::from_millis(base / 2));
-        assert!(early.iter().all(|(_, p)| p.payload.len() < 100), "no early forwards");
+        assert!(early.iter().all(|(_, p)| p.payload_len() < 100), "no early forwards");
         let sent = server.on_tick(SimTime::from_millis(base * 2));
-        let forwards: Vec<_> = sent.iter().filter(|(_, p)| p.payload.len() > 100).collect();
+        let forwards: Vec<_> = sent.iter().filter(|(_, p)| p.payload_len() > 100).collect();
         assert_eq!(forwards.len(), 1);
     }
 
@@ -823,7 +847,7 @@ mod tests {
         let mut video_bytes_per_user = std::collections::HashMap::new();
         for ms in 0..1000u64 {
             for (n, p) in server.on_tick(SimTime::from_millis(ms)) {
-                *video_bytes_per_user.entry(n).or_insert(0u64) += p.payload.len() as u64;
+                *video_bytes_per_user.entry(n).or_insert(0u64) += p.payload_len() as u64;
             }
         }
         assert_eq!(server.stats.forwards, 0, "no avatar forwards");
@@ -845,7 +869,7 @@ mod tests {
         assert!(server.on_packet(SimTime::ZERO, &pkt).is_empty());
         // Only housekeeping may appear; no forwards of the foreign data.
         let sent = server.on_tick(SimTime::from_secs(1));
-        assert!(sent.iter().all(|(_, p)| p.payload.len() < 100));
+        assert!(sent.iter().all(|(_, p)| p.payload_len() < 100));
         assert_eq!(server.stats.forwards, 0);
     }
 
@@ -1038,11 +1062,12 @@ mod tests {
     #[test]
     fn stream_frame_roundtrip() {
         for kind in [MsgKind::Avatar, MsgKind::Game, MsgKind::Voice, MsgKind::KeepAlive] {
-            let framed = stream_frame(kind, b"body");
+            let framed = Bytes::from(stream_frame(kind, b"body"));
             let (k, b) = parse_stream_frame(&framed).unwrap();
             assert_eq!(k, kind);
-            assert_eq!(b, b"body");
+            assert_eq!(b, *b"body");
+            assert_eq!(b.as_ptr(), framed[1..].as_ptr(), "body shares the frame");
         }
-        assert!(parse_stream_frame(&[]).is_none());
+        assert!(parse_stream_frame(&Bytes::new()).is_none());
     }
 }

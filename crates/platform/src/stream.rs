@@ -156,8 +156,8 @@ impl StreamChannel {
             if self.rx_buf.len() < 4 + len {
                 break;
             }
-            let frame = self.rx_buf.split_to(4 + len);
-            events.push(StreamEvent::Message(Bytes::copy_from_slice(&frame[4..])));
+            let frame = self.rx_buf.split_to(4 + len).freeze();
+            events.push(StreamEvent::Message(frame.slice(4..)));
         }
     }
 

@@ -75,11 +75,11 @@ impl MessageParser {
             if self.buf.len() < total {
                 break;
             }
-            let msg = self.buf.split_to(total);
+            let msg = self.buf.split_to(total).freeze();
             let start_line = header.lines().next().unwrap_or_default().to_string();
             out.push(Message {
                 start_line,
-                body: Bytes::copy_from_slice(&msg[header_end + 4..]),
+                body: msg.slice(header_end + 4..),
             });
         }
         out

@@ -149,7 +149,7 @@ impl RecordUnsealer {
             if self.buf.len() < RECORD_HEADER_LEN + body_len {
                 break;
             }
-            let record = self.buf.split_to(RECORD_HEADER_LEN + body_len);
+            let record = self.buf.split_to(RECORD_HEADER_LEN + body_len).freeze();
             let body = &record[RECORD_HEADER_LEN..];
             let plain_len = body_len - RECORD_EXPANSION;
             // Verify the stand-in tag.
@@ -158,7 +158,7 @@ impl RecordUnsealer {
             }
             out.push(PlainRecord {
                 content_type: body[plain_len],
-                plaintext: Bytes::copy_from_slice(&body[..plain_len]),
+                plaintext: record.slice(RECORD_HEADER_LEN..RECORD_HEADER_LEN + plain_len),
             });
         }
         Ok(out)

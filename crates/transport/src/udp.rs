@@ -157,24 +157,27 @@ impl UdpChannel {
         self.remote_port
     }
 
-    fn encode(&mut self, kind: MsgKind, now: SimTime, body: &[u8]) -> Packet {
-        let mut buf = BytesMut::with_capacity(APP_HEADER_LEN + body.len());
-        buf.put_u16(self.channel);
-        buf.put_u8(kind.to_byte());
-        buf.put_u8(0); // reserved
-        buf.put_u32(self.next_seq);
-        buf.put_u64(now.as_micros());
-        buf.extend_from_slice(body);
+    fn encode(&mut self, kind: MsgKind, now: SimTime, body: &Bytes) -> Packet {
+        let mut head = BytesMut::with_capacity(APP_HEADER_LEN);
+        head.put_u16(self.channel);
+        head.put_u8(kind.to_byte());
+        head.put_u8(0); // reserved
+        head.put_u32(self.next_seq);
+        head.put_u64(now.as_micros());
         let mut hdr = TransportHeader::datagram(Proto::Udp, self.local_port, self.remote_port);
         hdr.seq = self.next_seq;
         self.next_seq += 1;
         self.last_tx = now;
-        Packet::new(hdr, buf.freeze())
+        let mut pkt = Packet::new(hdr, head.freeze());
+        pkt.body = body.clone();
+        pkt
     }
 
-    /// Build a datagram carrying `body`. Returns `None` if the channel is
-    /// dead.
-    pub fn send(&mut self, kind: MsgKind, now: SimTime, body: &[u8]) -> Option<Packet> {
+    /// Build a datagram carrying `body`. The packet's payload is the
+    /// application header alone and its body shares `body`'s storage, so
+    /// a fan-out of one message copies no body bytes. Returns `None` if
+    /// the channel is dead.
+    pub fn send(&mut self, kind: MsgKind, now: SimTime, body: &Bytes) -> Option<Packet> {
         if self.dead {
             return None;
         }
@@ -191,10 +194,14 @@ impl UdpChannel {
         if pkt.header.proto != Proto::Udp || pkt.header.dst_port != self.local_port {
             return None;
         }
-        let p = &pkt.payload;
-        if p.len() < APP_HEADER_LEN {
+        if pkt.payload_len() < APP_HEADER_LEN {
             return None;
         }
+        // The header is the first bytes of `payload ++ body`.
+        let mut p = [0u8; APP_HEADER_LEN];
+        let in_head = pkt.payload.len().min(APP_HEADER_LEN);
+        p[..in_head].copy_from_slice(&pkt.payload[..in_head]);
+        p[in_head..].copy_from_slice(&pkt.body[..APP_HEADER_LEN - in_head]);
         let channel = u16::from_be_bytes([p[0], p[1]]);
         if channel != self.channel {
             return None;
@@ -224,7 +231,7 @@ impl UdpChannel {
             kind,
             seq,
             sent_us,
-            body: pkt.payload.slice(APP_HEADER_LEN..),
+            body: body_after_header(pkt),
         })
     }
 
@@ -244,7 +251,7 @@ impl UdpChannel {
         }
         if let Some(every) = self.keepalive_every {
             if now.saturating_since(self.last_tx) >= every {
-                return Some(self.encode(MsgKind::KeepAlive, now, &[]));
+                return Some(self.encode(MsgKind::KeepAlive, now, &Bytes::new()));
             }
         }
         None
@@ -276,6 +283,20 @@ impl UdpChannel {
     }
 }
 
+/// The bytes of `payload ++ body` after the application header: the
+/// sender's body itself when the header is exactly the payload, a slice
+/// of a one-part payload, and a copy only when both parts hold body bytes.
+fn body_after_header(pkt: &Packet) -> Bytes {
+    let head = pkt.payload.len();
+    if head <= APP_HEADER_LEN {
+        pkt.body.slice(APP_HEADER_LEN - head..)
+    } else if pkt.body.is_empty() {
+        pkt.payload.slice(APP_HEADER_LEN..)
+    } else {
+        Bytes::from([&pkt.payload[APP_HEADER_LEN..], &pkt.body[..]].concat())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,7 +312,7 @@ mod tests {
     fn roundtrip_preserves_message() {
         let now = SimTime::from_secs(1);
         let (mut tx, mut rx) = pair(now);
-        let pkt = tx.send(MsgKind::Avatar, now, b"pose-data").unwrap();
+        let pkt = tx.send(MsgKind::Avatar, now, &Bytes::from_static(b"pose-data")).unwrap();
         let msg = rx.on_packet(now + SimDuration::from_millis(20), &pkt).unwrap();
         assert_eq!(msg.kind, MsgKind::Avatar);
         assert_eq!(msg.body.as_ref(), b"pose-data");
@@ -302,12 +323,45 @@ mod tests {
         );
     }
 
+    /// `pkt` with `payload ++ body` re-cut at `at`.
+    fn cut_at(pkt: &Packet, at: usize) -> Packet {
+        let all = Bytes::from([&pkt.payload[..], &pkt.body[..]].concat());
+        let mut twin = pkt.clone();
+        twin.payload = all.slice(..at);
+        twin.body = all.slice(at..);
+        twin
+    }
+
+    #[test]
+    fn send_shares_the_callers_body() {
+        let now = SimTime::from_secs(1);
+        let (mut tx, mut rx) = pair(now);
+        let body = Bytes::from(vec![0x5A; 600]);
+        let pkt = tx.send(MsgKind::Avatar, now, &body).unwrap();
+        assert_eq!((pkt.payload.len(), pkt.payload_len()), (APP_HEADER_LEN, APP_HEADER_LEN + 600));
+        assert_eq!(pkt.body.as_ptr(), body.as_ptr(), "send copied the body");
+        let msg = rx.on_packet(now, &pkt).unwrap();
+        assert_eq!(msg.body.as_ptr(), body.as_ptr(), "on_packet copied the body");
+    }
+
+    #[test]
+    fn on_packet_reads_a_head_body_split_like_its_one_part_twin() {
+        let now = SimTime::from_secs(1);
+        let (mut tx, mut rx) = pair(now);
+        let pkt = tx.send(MsgKind::Voice, now, &Bytes::from_static(b"voice-frame-bytes")).unwrap();
+        let expect = rx.on_packet(now, &pkt).unwrap();
+        for at in 0..=pkt.payload_len() {
+            let (_, mut rx) = pair(now);
+            assert_eq!(rx.on_packet(now, &cut_at(&pkt, at)).as_ref(), Some(&expect), "cut at {at}");
+        }
+    }
+
     #[test]
     fn sequence_numbers_increment() {
         let now = SimTime::ZERO;
         let (mut tx, _) = pair(now);
         for i in 0..5u32 {
-            let pkt = tx.send(MsgKind::Avatar, now, &[]).unwrap();
+            let pkt = tx.send(MsgKind::Avatar, now, &Bytes::new()).unwrap();
             assert_eq!(pkt.header.seq, i);
         }
     }
@@ -316,9 +370,9 @@ mod tests {
     fn gap_counts_as_loss() {
         let now = SimTime::ZERO;
         let (mut tx, mut rx) = pair(now);
-        let p0 = tx.send(MsgKind::Avatar, now, &[]).unwrap();
-        let _p1 = tx.send(MsgKind::Avatar, now, &[]).unwrap(); // dropped
-        let p2 = tx.send(MsgKind::Avatar, now, &[]).unwrap();
+        let p0 = tx.send(MsgKind::Avatar, now, &Bytes::new()).unwrap();
+        let _p1 = tx.send(MsgKind::Avatar, now, &Bytes::new()).unwrap(); // dropped
+        let p2 = tx.send(MsgKind::Avatar, now, &Bytes::new()).unwrap();
         rx.on_packet(now, &p0);
         rx.on_packet(now, &p2);
         assert_eq!(rx.rx.lost, 1);
@@ -329,11 +383,11 @@ mod tests {
     fn reorder_repairs_provisional_loss() {
         let now = SimTime::ZERO;
         let (mut tx, mut rx) = pair(now);
-        let p0 = tx.send(MsgKind::Avatar, now, &[]).unwrap();
-        let p1 = tx.send(MsgKind::Avatar, now, &[]).unwrap();
+        let p0 = tx.send(MsgKind::Avatar, now, &Bytes::new()).unwrap();
+        let p1 = tx.send(MsgKind::Avatar, now, &Bytes::new()).unwrap();
         rx.on_packet(now, &p0);
         // p1 skipped → provisional loss...
-        let p2 = tx.send(MsgKind::Avatar, now, &[]).unwrap();
+        let p2 = tx.send(MsgKind::Avatar, now, &Bytes::new()).unwrap();
         rx.on_packet(now, &p2);
         assert_eq!(rx.rx.lost, 1);
         // ...then p1 arrives late: loss repaired, reorder counted.
@@ -347,9 +401,9 @@ mod tests {
         let now = SimTime::ZERO;
         let (mut tx, mut rx) = pair(now);
         let mut other = UdpChannel::new(9, 4000, 5000, now);
-        let pkt = other.send(MsgKind::Avatar, now, b"x").unwrap();
+        let pkt = other.send(MsgKind::Avatar, now, &Bytes::from_static(b"x")).unwrap();
         assert!(rx.on_packet(now, &pkt).is_none(), "wrong channel id");
-        let pkt2 = tx.send(MsgKind::Avatar, now, b"x").unwrap();
+        let pkt2 = tx.send(MsgKind::Avatar, now, &Bytes::from_static(b"x")).unwrap();
         let mut wrong_port = UdpChannel::new(7, 6000, 4000, now);
         assert!(wrong_port.on_packet(now, &pkt2).is_none(), "wrong port");
     }
@@ -364,7 +418,7 @@ mod tests {
         let msg = peer.on_packet(SimTime::from_secs(5), &ka).unwrap();
         assert_eq!(msg.kind, MsgKind::KeepAlive);
         // Sending data resets the keep-alive clock.
-        ch.send(MsgKind::Avatar, SimTime::from_secs(6), &[]).unwrap();
+        ch.send(MsgKind::Avatar, SimTime::from_secs(6), &Bytes::new()).unwrap();
         assert!(ch.on_tick(SimTime::from_secs(10)).is_none());
         assert!(ch.on_tick(SimTime::from_secs(11)).is_some());
     }
@@ -379,13 +433,13 @@ mod tests {
             .with_timeout(SimDuration::from_secs(30));
         assert_eq!(ch.next_timer(), Some(SimTime::from_secs(5)));
         // Sending data pushes the keep-alive deadline out.
-        ch.send(MsgKind::Avatar, SimTime::from_secs(4), &[]).unwrap();
+        ch.send(MsgKind::Avatar, SimTime::from_secs(4), &Bytes::new()).unwrap();
         assert_eq!(ch.next_timer(), Some(SimTime::from_secs(9)));
         // Past the keep-alive horizon, the liveness timeout is next.
         let mut peer = UdpChannel::new(1, 2, 1, now);
-        let pkt = peer.send(MsgKind::Avatar, SimTime::from_secs(6), &[]).unwrap();
+        let pkt = peer.send(MsgKind::Avatar, SimTime::from_secs(6), &Bytes::new()).unwrap();
         ch.on_packet(SimTime::from_secs(6), &pkt);
-        ch.send(MsgKind::Avatar, SimTime::from_secs(33), &[]).unwrap();
+        ch.send(MsgKind::Avatar, SimTime::from_secs(33), &Bytes::new()).unwrap();
         // Keep-alive due at 38, timeout (from last_rx = 6) due at 36.
         assert_eq!(ch.next_timer(), Some(SimTime::from_secs(36)));
         ch.kill();
@@ -397,12 +451,12 @@ mod tests {
         let now = SimTime::ZERO;
         let mut ch = UdpChannel::new(1, 1, 2, now).with_timeout(SimDuration::from_secs(30));
         let (mut tx, _) = pair(now);
-        let pkt = tx.send(MsgKind::Avatar, now, &[]).unwrap();
+        let pkt = tx.send(MsgKind::Avatar, now, &Bytes::new()).unwrap();
         // Wrong channel id, but keeps the port; feed a matching one instead.
         let mut peer = UdpChannel::new(1, 2, 1, now);
         let pkt = {
             let _ = pkt;
-            peer.send(MsgKind::Avatar, SimTime::from_secs(1), &[]).unwrap()
+            peer.send(MsgKind::Avatar, SimTime::from_secs(1), &Bytes::new()).unwrap()
         };
         ch.on_packet(SimTime::from_secs(1), &pkt);
         assert!(ch.on_tick(SimTime::from_secs(30)).is_none());
@@ -410,7 +464,7 @@ mod tests {
         ch.on_tick(SimTime::from_secs(31));
         assert!(ch.is_dead());
         // Dead is forever: new incoming data does not resurrect sends.
-        assert!(ch.send(MsgKind::Avatar, SimTime::from_secs(32), &[]).is_none());
+        assert!(ch.send(MsgKind::Avatar, SimTime::from_secs(32), &Bytes::new()).is_none());
         assert!(ch.on_tick(SimTime::from_secs(33)).is_none());
     }
 

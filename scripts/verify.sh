@@ -57,7 +57,10 @@ trap 'rm -rf "$out_dir"' EXIT
 # each and share the exact same merge path. `world` additionally runs
 # its own internal shard pool per unit, so this gate also proves the
 # cross-shard ordered commit is byte-identical across worker counts.
-selection="table1,table2,vantage,fig3,world"
+# `ablations` (about 5 s at --jobs 1) covers the remote-render session
+# path and the peer-to-peer UDP mesh, whose datagrams carry shared
+# packet bodies.
+selection="table1,table2,vantage,fig3,world,ablations"
 ./target/release/examples/reproduce_all --only "$selection" --jobs 1 --out "$out_dir/j1" > /dev/null
 ./target/release/examples/reproduce_all --only "$selection" --jobs 8 --out "$out_dir/j8" > /dev/null
 scripts/compare_artifact_dirs.sh "$out_dir/j1" "$out_dir/j8"
