@@ -296,7 +296,11 @@ mod tests {
 
     #[test]
     fn full_tcp_loss_kills_udp_permanently() {
-        let cfg = TcpPriorityConfig::quick();
+        // During the loss stage TCP's retransmission timer backs off to
+        // `rto_max`, so its next send can come that long after the loss
+        // lifts; the tail must outlast it for "TCP recovers" to show.
+        let rto_max_s = svr_transport::tcp::TcpConfig::default().rto_max.as_millis() / 1000;
+        let cfg = TcpPriorityConfig { tail_s: rto_max_s + 5, ..TcpPriorityConfig::quick() };
         let r = run_tcp_priority(&cfg);
         let loss_start = cfg.loss_start_s();
         // Death ~30 s into the loss stage.

@@ -117,11 +117,6 @@ pub fn run(platform: PlatformId, cfg: &ScalingConfig) -> ScalingReport {
     ScalingReport { platform, points }
 }
 
-/// Run for all five platforms.
-pub fn run_all(cfg: &ScalingConfig) -> Vec<ScalingReport> {
-    PlatformId::ALL.into_iter().map(|p| run(p, cfg)).collect()
-}
-
 impl ScalingReport {
     /// Least-squares fit of downlink (Kbps) against user count — §6's
     /// "increases almost linearly" check. Returns `(slope, r²)`.

@@ -1,8 +1,8 @@
 //! Plain-text table rendering for the reproduced results.
 //!
 //! Every experiment's report implements `Display` using these helpers so
-//! `cargo bench` / the examples print rows shaped like the paper's
-//! tables and figure series.
+//! `reproduce_all` and the other examples print rows shaped like the
+//! paper's tables and figure series.
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]

@@ -13,7 +13,7 @@
 //! The rules (ids are stable; DESIGN §10 documents each threat model):
 //!
 //! - `wall-clock` — no `Instant::now` / `SystemTime` outside the
-//!   harness scheduler and the bench timing modules.
+//!   harness scheduler.
 //! - `unordered-iter` — no iteration over default-hasher `HashMap` /
 //!   `HashSet` in library code without a visible ordering or
 //!   commutative reduction.

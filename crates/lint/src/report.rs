@@ -70,7 +70,7 @@ impl Report {
         out
     }
 
-    /// Byte-stable JSON document (written next to the bench artifacts).
+    /// Byte-stable JSON document (committed as `LINT.json`).
     pub fn to_json(&self) -> Json {
         let diag = |d: &Diagnostic| {
             Json::obj()

@@ -30,10 +30,10 @@ pub const RULES: [&str; 6] = [
     "unsafe-crate",
 ];
 
-/// Files allowed to read the wall clock: run telemetry in the harness
-/// scheduler and the bench timing modules. Everything else must take
-/// time from the simulation clock.
-const WALL_CLOCK_ALLOWED: [&str; 2] = ["crates/harness/src/scheduler.rs", "crates/bench/src/"];
+/// The only file allowed to read the wall clock: run telemetry in the
+/// harness scheduler. Everything else must take time from the
+/// simulation clock.
+const WALL_CLOCK_ALLOWED: &str = "crates/harness/src/scheduler.rs";
 
 /// The only module allowed to spawn OS threads: the workspace pool
 /// (`svr_world::pool::map`). Determinism rests on every simulation
@@ -55,11 +55,10 @@ pub fn check_file(file: &SourceFile) -> Vec<Hit> {
 }
 
 /// `wall-clock`: no `Instant::now` / `SystemTime` outside the harness
-/// scheduler and bench timing modules. Wall-clock reads that leak into
-/// artifacts make byte-identity across `--jobs` counts impossible.
+/// scheduler. Wall-clock reads that leak into artifacts make
+/// byte-identity across `--jobs` counts impossible.
 fn wall_clock(file: &SourceFile, hits: &mut Vec<Hit>) {
-    if file.kind == FileKind::Bench || WALL_CLOCK_ALLOWED.iter().any(|p| file.path.starts_with(p))
-    {
+    if file.path == WALL_CLOCK_ALLOWED {
         return;
     }
     for (i, line) in file.lines.iter().enumerate() {
@@ -69,8 +68,8 @@ fn wall_clock(file: &SourceFile, hits: &mut Vec<Hit>) {
                     rule: "wall-clock",
                     line: i + 1,
                     message: format!(
-                        "`{token}` outside the scheduler/bench timing modules; take time \
-                         from the simulation clock"
+                        "`{token}` outside the harness scheduler; take time from the \
+                         simulation clock"
                     ),
                 });
             }
@@ -186,7 +185,7 @@ fn float_order(file: &SourceFile, hits: &mut Vec<Hit>) {
 
 /// `stray-io`: no `println!` / `eprintln!` / `print!` / `eprint!` /
 /// `dbg!` in library code. Library crates feed artifacts; reporting
-/// belongs to examples, benches, and binaries.
+/// belongs to examples and binaries.
 fn stray_io(file: &SourceFile, hits: &mut Vec<Hit>) {
     if file.kind != FileKind::Lib {
         return;

@@ -15,7 +15,7 @@
 
 /// Where a file sits in the workspace layout. Rules scope themselves
 /// by kind: e.g. `stray-io` polices only [`FileKind::Lib`] — examples
-/// and benches print by design.
+/// print by design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// `src/**` of a crate (the code that feeds artifacts).
@@ -26,8 +26,6 @@ pub enum FileKind {
     Test,
     /// `examples/**`.
     Example,
-    /// `benches/**`.
-    Bench,
 }
 
 impl FileKind {
@@ -37,8 +35,6 @@ impl FileKind {
             FileKind::Test
         } else if path.starts_with("examples/") || path.contains("/examples/") {
             FileKind::Example
-        } else if path.contains("/benches/") {
-            FileKind::Bench
         } else if path.ends_with("src/main.rs") || path.contains("/src/bin/") {
             FileKind::Bin
         } else {

@@ -28,11 +28,10 @@ fn wall_clock_fires_in_sim_code() {
 }
 
 #[test]
-fn wall_clock_allows_scheduler_bench_and_sim_durations() {
+fn wall_clock_allows_only_the_scheduler_and_sim_durations() {
     let timing = "fn t() { let s = std::time::Instant::now(); s.elapsed(); }\n";
     assert!(active("crates/harness/src/scheduler.rs", timing).is_empty());
-    assert!(active("crates/bench/src/worldscale.rs", timing).is_empty());
-    assert!(active("crates/bench/benches/engine.rs", timing).is_empty());
+    assert_eq!(rule_lines(&active("crates/bench/src/x.rs", timing)), [("wall-clock", 1)]);
 
     let good = "fn t() { let d = std::time::Duration::from_secs(1); let _ = d; }\n";
     assert!(active("crates/core/src/foo.rs", good).is_empty());

@@ -828,6 +828,41 @@ mod tests {
     }
 
     #[test]
+    fn interest_policy_throttles_out_of_focus_senders() {
+        let mut cfg = PlatformConfig::vrchat();
+        cfg.forward_policy = ForwardPolicy::InterestManagement { focus: 1, background_hz: 1.0 };
+        let snode = node(9);
+        let mut server = DataServer::new(snode, &cfg, 7);
+        // Three users a metre apart and one 30 m off: each receiver's
+        // focus is its nearest neighbour, the other two senders are
+        // background and get at most one forward per second.
+        let xs = [0.0, 1.0, 2.0, 30.0];
+        let n = xs.len() as u64;
+        let mut clients: Vec<UdpChannel> = (0..n as u32)
+            .map(|i| {
+                server.register(i, node(i), 40_000 + i as u16, SimTime::ZERO);
+                UdpChannel::new(i as u16, 40_000 + i as u16, DATA_SERVER_PORT, SimTime::ZERO)
+            })
+            .collect();
+        let mut uploads = 0;
+        for round in 0..5 {
+            let now = SimTime::from_millis(100 * round);
+            for (i, x) in xs.iter().enumerate() {
+                let body = avatar_body(&cfg, i as u64, Vec3::new(*x, 0.0, 0.0), 0.0);
+                let pkt = udp_avatar_packet(&mut clients[i], now, &body, node(i as u32), snode);
+                server.on_packet(now, &pkt);
+                uploads += 1;
+            }
+            server.on_tick(now);
+        }
+        server.on_tick(SimTime::from_secs(2)); // drain every scheduled forward
+        let s = &server.stats;
+        assert!(s.interest_throttled > 0, "no out-of-focus sender was throttled");
+        // Every upload reaches each other user as a forward or a throttle.
+        assert_eq!(s.forwards + s.interest_throttled, uploads * (n - 1));
+    }
+
+    #[test]
     fn remote_render_emits_constant_rate_video_instead_of_forwards() {
         let mut cfg = PlatformConfig::vrchat();
         cfg.forward_policy = ForwardPolicy::RemoteRender {

@@ -129,7 +129,7 @@ impl WorldConfig {
 }
 
 /// The forwarding policies a world sweep compares, with stable labels
-/// (the single-room `svr-bench` sweep compares the same list).
+/// (the harness `world` experiment runs one unit per entry).
 pub fn policies() -> Vec<(&'static str, ForwardPolicy)> {
     vec![
         ("direct", ForwardPolicy::Direct),

@@ -158,7 +158,7 @@ impl World {
 }
 
 /// Deterministic summary of a finished world run (no wall-clock fields;
-/// benches time [`World::run`] themselves).
+/// the harness scheduler and perfbench time world runs themselves).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorldReport {
     /// Forwarding policy label.
@@ -243,29 +243,32 @@ mod tests {
 
     #[test]
     fn population_is_conserved_and_users_move() {
-        let cfg = WorldConfig::small(9);
-        let total = cfg.total_users();
-        let mut world = World::new(cfg);
-        for _ in 0..world.cfg().ticks {
-            world.tick();
-        }
-        // Every user lives in exactly one shard, and the map agrees.
-        let mut seen = 0usize;
-        for shard in world.shards() {
-            for u in shard.resident_ids() {
-                assert_eq!(world.user_room()[&u], shard.room);
-                seen += 1;
+        for (label, policy) in crate::policies() {
+            let cfg = WorldConfig { policy, ..WorldConfig::small(9) };
+            let total = cfg.total_users();
+            let mut world = World::new(cfg);
+            for _ in 0..world.cfg().ticks {
+                world.tick();
             }
+            // Every user lives in exactly one shard, and the map agrees.
+            let mut seen = 0usize;
+            for shard in world.shards() {
+                for u in shard.resident_ids() {
+                    assert_eq!(world.user_room()[&u], shard.room, "{label}");
+                    seen += 1;
+                }
+            }
+            assert_eq!(seen, total, "{label}");
+            assert!(world.stats.hops > 0, "{label}: no hops");
+            assert!(world.stats.transfers > 0, "{label}: no transfers");
+            assert!(world.stats.presence_sent > 0, "{label}");
+            assert!(world.stats.presence_delivered > 0, "{label}");
+            assert_eq!(
+                world.stats.presence_sent,
+                world.stats.presence_delivered + world.stats.presence_dropped,
+                "{label}"
+            );
         }
-        assert_eq!(seen, total);
-        assert!(world.stats.hops > 0);
-        assert!(world.stats.transfers > 0);
-        assert!(world.stats.presence_sent > 0);
-        assert!(world.stats.presence_delivered > 0);
-        assert_eq!(
-            world.stats.presence_sent,
-            world.stats.presence_delivered + world.stats.presence_dropped
-        );
     }
 
     #[test]

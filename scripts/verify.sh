@@ -17,23 +17,22 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-# Root `cargo test` runs only the root package, so the workspace
-# crates' own suites (the pool and scheduler order tests, the world's
-# parallel-commit model test, the harness determinism tests) run here.
-# svr-core is left out: its
-# experiments::fig13::tests::full_tcp_loss_kills_udp_permanently fails
-# (see ROADMAP.md).
+# Root `cargo test` runs only the root package, so every workspace
+# crate's own suite runs here: among them the pool and scheduler order
+# tests, the world's parallel-commit model test, the harness
+# determinism tests, and svr-core's per-figure shape checks with
+# `every_paper_finding_holds` (most of this step's time).
 echo "==> unit: workspace crate tests"
 cargo test -q -p svr-netsim -p svr-transport -p svr-avatar -p svr-client -p svr-geo \
-    -p svr-world -p svr-harness -p svr-lint -p svr-bench -p svr-platform
+    -p svr-world -p svr-harness -p svr-lint -p svr-platform -p svr-core
 
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Static determinism invariants (DESIGN §10): wall-clock, unordered
 # hash iteration, float ordering, stray IO, thread spawns, unsafe.
-# Fails on any un-waived diagnostic; the JSON report lands next to the
-# bench artifacts so lint regressions are diffable like perf ones.
+# Fails on any un-waived diagnostic; the JSON report is committed as
+# LINT.json so a change in waivers shows up in the diff.
 echo "==> lint: svr-lint (static determinism invariants)"
 cargo run --release -q -p svr-lint -- --json LINT.json
 
