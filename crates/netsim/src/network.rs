@@ -13,7 +13,8 @@ use crate::node::{Node, NodeId, NodeKind};
 use crate::packet::Packet;
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 /// A packet handed to its destination node.
 #[derive(Debug, Clone)]
@@ -34,6 +35,138 @@ enum EventKind {
     HopArrive { node: NodeId, packet: Packet },
 }
 
+/// A pending event's place in the queue: its time, the push count that
+/// breaks ties, and the slab slot that holds it.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    slot: u32,
+}
+
+impl Key {
+    /// `(at, seq)` as one integer, so a heap sift compares without
+    /// branching on which half decides. `seq` is unique per queue, so
+    /// `slot` never decides an order.
+    fn order(&self) -> u128 {
+        (u128::from(self.at.as_micros()) << 64) | u128::from(self.seq)
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.order() == other.order()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> std::cmp::Ordering {
+        self.order().cmp(&other.order())
+    }
+}
+
+/// Pending events in `(time, seq)` order.
+///
+/// The heap orders small `(time, seq, slot)` keys, so a sift moves 24
+/// bytes, not a packet. Each event waits in `slab[slot]` until its key
+/// pops, and the slot then goes on the free list for the next push.
+/// `seq` counts pushes, so keys are unique, `slot` never decides an
+/// order, and ties on time pop in the order they were pushed.
+///
+/// A slab that stays four times larger than the queue for as many pops
+/// as it has slots is compacted, so a world of many small networks
+/// holds slots for what each has queued, not for each one's peak. A
+/// queue that drains and refills every tick never stays low that long,
+/// and keeps its slots.
+#[derive(Debug)]
+struct EventQueue<T> {
+    keys: BinaryHeap<Reverse<Key>>,
+    slab: Vec<Option<T>>,
+    free: Vec<u32>,
+    next_seq: u64,
+    /// Pops in a row that left fewer than a quarter of the slots full.
+    low_pops: usize,
+}
+
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        EventQueue {
+            keys: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+            low_pops: 0,
+        }
+    }
+}
+
+impl<T> EventQueue<T> {
+    /// Slab length below which [`EventQueue::pop`] never compacts.
+    const MIN_SLAB: usize = 8;
+
+    /// Queue `event` at `at`, after every event already queued at `at`.
+    fn push(&mut self, at: SimTime, event: T) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.keys.push(Reverse(Key { at, seq: self.next_seq, slot }));
+        self.next_seq += 1;
+    }
+
+    /// The time of the earliest event.
+    fn next_time(&self) -> Option<SimTime> {
+        self.keys.peek().map(|Reverse(key)| key.at)
+    }
+
+    /// Remove the earliest event (lowest `(time, seq)`).
+    fn pop(&mut self) -> Option<(SimTime, T)> {
+        let Reverse(Key { at, slot, .. }) = self.keys.pop()?;
+        let event = self.slab[slot as usize].take().expect("a queued key owns its slot");
+        self.free.push(slot);
+        if self.keys.len() * 4 >= self.slab.len() {
+            self.low_pops = 0;
+        } else {
+            self.low_pops += 1;
+            if self.low_pops > self.slab.len() && self.slab.len() > Self::MIN_SLAB {
+                self.compact();
+            }
+        }
+        Some((at, event))
+    }
+
+    /// Move the queued events to slots `0..n` of a slab with room for
+    /// `2n`. Renumbering leaves every `(time, seq)` as it was, so the key
+    /// vector is still a valid heap and the pop order does not change.
+    fn compact(&mut self) {
+        let mut keys = std::mem::take(&mut self.keys).into_vec();
+        let mut slab = Vec::with_capacity(2 * keys.len());
+        for Reverse(key) in &mut keys {
+            slab.push(self.slab[key.slot as usize].take());
+            key.slot = (slab.len() - 1) as u32;
+        }
+        keys.shrink_to(2 * keys.len());
+        self.keys = BinaryHeap::from(keys);
+        self.slab = slab;
+        self.free = Vec::new();
+        self.low_pops = 0;
+    }
+}
+
 /// The simulated network.
 #[derive(Debug)]
 pub struct Network {
@@ -43,12 +176,9 @@ pub struct Network {
     adjacency: Vec<Vec<LinkId>>,
     /// Next-hop cache: (from, to) → first link of the shortest path.
     routes: HashMap<(NodeId, NodeId), LinkId>,
-    /// Pending events in `(time, seq)` order. `seq` comes from
-    /// `next_seq`, so keys are unique and ties on time pop in the order
-    /// they were scheduled.
-    events: BTreeMap<(SimTime, u64), EventKind>,
+    /// Pending link and hop events.
+    events: EventQueue<EventKind>,
     now: SimTime,
-    next_seq: u64,
     next_packet_id: u64,
     rng: SimRng,
     taps: HashMap<NodeId, CaptureTap>,
@@ -67,9 +197,8 @@ impl Network {
             links: Vec::new(),
             adjacency: Vec::new(),
             routes: HashMap::new(),
-            events: BTreeMap::new(),
+            events: EventQueue::default(),
             now: SimTime::ZERO,
-            next_seq: 0,
             next_packet_id: 0,
             rng: SimRng::seed_from_u64(seed ^ 0x6E65_7473_696D), // "netsim"
             taps: HashMap::new(),
@@ -177,12 +306,6 @@ impl Network {
         self.taps.get_mut(&node).map(|t| t.take_records()).unwrap_or_default()
     }
 
-    fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.insert((at, seq), kind);
-    }
-
     /// Compute (and cache) the next hop from `from` toward `to` with a BFS
     /// over link hops. Panics when no route exists — a topology bug.
     fn next_hop(&mut self, from: NodeId, to: NodeId) -> LinkId {
@@ -261,7 +384,7 @@ impl Network {
         let done = now.checked_add(ser).unwrap_or(SimTime::MAX);
         link.busy_until = done;
         if done < SimTime::MAX {
-            self.schedule(done, EventKind::TxDone { link: link_id, packet });
+            self.events.push(done, EventKind::TxDone { link: link_id, packet });
         }
         // A zero-rate link swallows the packet: it never finishes
         // serializing, exactly like a fully-blocked qdisc.
@@ -310,7 +433,7 @@ impl Network {
         } else {
             let arrive = now.checked_add(delay).unwrap_or(SimTime::MAX);
             if arrive < SimTime::MAX {
-                self.schedule(arrive, EventKind::HopArrive { node: dst, packet });
+                self.events.push(arrive, EventKind::HopArrive { node: dst, packet });
             }
         }
         // Link is free: pull the next queued packet, if any.
@@ -350,11 +473,11 @@ impl Network {
         if !self.pending.is_empty() {
             return Some(self.now);
         }
-        self.events.first_key_value().map(|(&(at, _), _)| at)
+        self.events.next_time()
     }
 
     fn step(&mut self) {
-        let ((at, _seq), kind) = self.events.pop_first().expect("step with empty queue");
+        let (at, kind) = self.events.pop().expect("step with empty queue");
         debug_assert!(at >= self.now, "event in the past");
         crate::counters::count_event();
         self.now = at;
@@ -373,8 +496,8 @@ impl Network {
             if let Some(d) = self.pending.pop_front() {
                 return Some(d);
             }
-            match self.events.first_key_value() {
-                Some((&(at, _), _)) if at <= until => self.step(),
+            match self.events.next_time() {
+                Some(at) if at <= until => self.step(),
                 _ => {
                     self.now = self.now.max(until);
                     return None;
@@ -386,10 +509,7 @@ impl Network {
     /// Advance to `until`, collecting every delivery on the way.
     pub fn poll_all(&mut self, until: SimTime) -> Vec<Delivery> {
         let mut out = Vec::new();
-        while let Some((&(at, _), _)) = self.events.first_key_value() {
-            if at > until {
-                break;
-            }
+        while self.events.next_time().is_some_and(|at| at <= until) {
             self.step();
             out.extend(self.pending.drain(..));
         }
@@ -415,6 +535,7 @@ mod tests {
     use crate::time::SimDuration;
     use crate::units::{Bitrate, ByteSize};
     use crate::buf::Bytes;
+    use std::collections::BTreeMap;
 
     fn two_node_net(spec: LinkSpec) -> (Network, NodeId, NodeId) {
         let mut net = Network::new(1);
@@ -791,6 +912,51 @@ mod tests {
         let ids: Vec<u64> = deliveries.iter().map(|d| d.packet.id).collect();
         let sent: Vec<u64> = (0..spokes.len() as u64).collect();
         assert_eq!(ids, sent, "ties pop in scheduling order");
+    }
+
+    #[test]
+    fn event_queue_pops_what_a_btreemap_pops() {
+        // Bursts land on a handful of times, so most keys tie on time,
+        // and partial drains free slots that later pushes reuse.
+        let mut rng = SimRng::seed_from_u64(0xE7E7);
+        let mut queue = EventQueue::default();
+        let mut model = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut now = SimTime::ZERO;
+        let mut pops = 0;
+        for round in 0..600 {
+            let burst = if round % 50 < 10 { 120 } else { 12 };
+            for _ in 0..rng.range_u64(0, burst) {
+                let at = now + SimDuration::from_micros(100 * rng.range_u64(0, 6));
+                queue.push(at, seq);
+                model.insert((at, seq), seq);
+                seq += 1;
+            }
+            // `poll` pops at most one event due by `until`, `poll_all`
+            // every one.
+            let until = now + SimDuration::from_micros(100 * rng.range_u64(0, 4));
+            let drain_all = rng.chance(0.7);
+            loop {
+                assert_eq!(queue.next_time(), model.keys().next().map(|k| k.0), "round {round}");
+                let due = model.first_key_value().is_some_and(|(k, _)| k.0 <= until);
+                if !due {
+                    break;
+                }
+                let ((at, _), want) = model.pop_first().expect("due");
+                assert_eq!(queue.pop(), Some((at, want)), "round {round}");
+                pops += 1;
+                if !drain_all {
+                    break;
+                }
+            }
+            now = until;
+        }
+        while let Some(((at, _), want)) = model.pop_first() {
+            assert_eq!(queue.pop(), Some((at, want)));
+            pops += 1;
+        }
+        assert_eq!(queue.pop(), None);
+        assert!(pops > 10_000, "the trace drained {pops} events");
     }
 
     #[test]

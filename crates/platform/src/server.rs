@@ -13,6 +13,7 @@ use crate::stream::{StreamChannel, StreamEvent};
 use svr_netsim::buf::Bytes;
 use svr_netsim::packet::zero_payload;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use svr_avatar::motion::in_viewport;
 use svr_avatar::skeleton::Vec3;
@@ -161,28 +162,78 @@ pub struct ServerStats {
     pub interest_throttled: u64,
 }
 
-struct PendingForward {
-    due: SimTime,
-    seq: u64,
-    dst_user: u32,
+/// One fan-out's forwards: a single message to many receivers.
+struct ForwardRun {
     kind: MsgKind,
     body: Bytes,
+    /// `(due, seq, receiver)`, sorted ascending; `next` is the first
+    /// one not yet released.
+    entries: Vec<(SimTime, u64, u32)>,
+    next: usize,
 }
 
-impl PartialEq for PendingForward {
-    fn eq(&self, o: &Self) -> bool {
-        (self.due, self.seq) == (o.due, o.seq)
-    }
+/// Scheduled forwards, released in `(due, seq)` order, where `seq`
+/// counts forwards in the order they were scheduled.
+///
+/// Each fan-out is one run, sorted once when it is scheduled; a heap
+/// over the runs' next `(due, seq)` keys merges them. Keys are unique,
+/// so the merge releases exactly the order of one heap over every
+/// forward, while a sift moves 24-byte keys and the run's body is
+/// shared by all its receivers.
+#[derive(Default)]
+struct ForwardQueue {
+    /// `(due, seq, run slot)` of each live run's next forward.
+    heads: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    runs: Vec<ForwardRun>,
+    /// Slots of finished runs; their `entries` keep their capacity.
+    free: Vec<u32>,
+    next_seq: u64,
 }
-impl Eq for PendingForward {}
-impl PartialOrd for PendingForward {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
+
+impl ForwardQueue {
+    /// Schedule one fan-out of `body`: a forward to each receiver of the
+    /// `(due, receiver)` pairs, numbered in the order given.
+    fn push_run(&mut self, kind: MsgKind, body: &Bytes, forwards: &[(SimTime, u32)]) {
+        if forwards.is_empty() {
+            return;
+        }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.runs.push(ForwardRun { kind, body: Bytes::new(), entries: Vec::new(), next: 0 });
+            u32::try_from(self.runs.len() - 1).expect("fewer than 2^32 runs")
+        });
+        let run = &mut self.runs[slot as usize];
+        run.kind = kind;
+        run.body = body.clone();
+        let first = self.next_seq;
+        run.entries.extend(forwards.iter().zip(first..).map(|(&(due, dst), seq)| (due, seq, dst)));
+        self.next_seq += forwards.len() as u64;
+        run.entries.sort_unstable();
+        run.next = 0;
+        let (due, seq, _) = run.entries[0];
+        self.heads.push(Reverse((due, seq, slot)));
     }
-}
-impl Ord for PendingForward {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(o.due, o.seq))
+
+    /// Release every forward due by `now`, in `(due, seq)` order, as
+    /// `(receiver, kind, body)`.
+    fn drain_due(&mut self, now: SimTime, mut release: impl FnMut(u32, MsgKind, &Bytes)) {
+        while let Some(mut head) = self.heads.peek_mut() {
+            let Reverse((due, _, slot)) = *head;
+            if due > now {
+                break;
+            }
+            let run = &mut self.runs[slot as usize];
+            release(run.entries[run.next].2, run.kind, &run.body);
+            run.next += 1;
+            match run.entries.get(run.next) {
+                Some(&(due, seq, _)) => *head = Reverse((due, seq, slot)),
+                None => {
+                    PeekMut::pop(head);
+                    run.entries.clear();
+                    run.body = Bytes::new();
+                    self.free.push(slot);
+                }
+            }
+        }
     }
 }
 
@@ -201,8 +252,7 @@ pub struct DataServer {
     /// instead of a roster scan. Stream platforms get a second entry per
     /// user for the RTP voice port.
     addr_index: HashMap<(NodeId, u16), u32>,
-    pending: BinaryHeap<Reverse<PendingForward>>,
-    seq: u64,
+    forwards: ForwardQueue,
     rng: SimRng,
     /// Bumped whenever any user's position changes or the roster
     /// changes; focus caches stamped with an older epoch are stale.
@@ -211,6 +261,8 @@ pub struct DataServer {
     focus_scratch: Vec<(f32, u32)>,
     /// Scratch for the receiver list, reused across messages.
     recv_scratch: Vec<u32>,
+    /// Scratch for one fan-out's `(due, receiver)` pairs.
+    run_scratch: Vec<(SimTime, u32)>,
     /// Counters.
     pub stats: ServerStats,
 }
@@ -228,12 +280,12 @@ impl DataServer {
             transport: cfg.data_transport,
             users: BTreeMap::new(),
             addr_index: HashMap::new(),
-            pending: BinaryHeap::new(),
-            seq: 0,
+            forwards: ForwardQueue::default(),
             rng: SimRng::seed_from_u64(seed ^ 0x5345_5256),
             pos_epoch: 1,
             focus_scratch: Vec::new(),
             recv_scratch: Vec::new(),
+            run_scratch: Vec::new(),
             stats: ServerStats::default(),
         }
     }
@@ -361,6 +413,8 @@ impl DataServer {
         let mut receivers = std::mem::take(&mut self.recv_scratch);
         receivers.clear();
         receivers.extend(self.users.keys().copied().filter(|u| *u != from_user));
+        let mut run = std::mem::take(&mut self.run_scratch);
+        run.clear();
         for dst in receivers.iter().copied() {
             if let ForwardPolicy::ViewportAdaptive { width_deg } = self.policy {
                 let r = &self.users[&dst];
@@ -395,12 +449,11 @@ impl DataServer {
                     *due = now + interval;
                 }
             }
-            let due = now + self.proc_delay();
-            let seq = self.seq;
-            self.seq += 1;
-            self.pending.push(Reverse(PendingForward { due, seq, dst_user: dst, kind, body: body.clone() }));
+            run.push((now + self.proc_delay(), dst));
         }
+        self.forwards.push_run(kind, body, &run);
         self.recv_scratch = receivers;
+        self.run_scratch = run;
     }
 
     /// Whether `sender` is among `receiver`'s `focus` nearest avatars.
@@ -621,17 +674,14 @@ impl DataServer {
             self.remove_user(id);
         }
 
-        // Due forwards.
-        while let Some(Reverse(head)) = self.pending.peek() {
-            if head.due > now {
-                break;
+        // Due forwards; a receiver that left meanwhile is skipped.
+        let (users, stats) = (&mut self.users, &mut self.stats);
+        self.forwards.drain_due(now, |dst, kind, body| {
+            if let Some(entry) = users.get_mut(&dst) {
+                Self::send_to(entry, now, kind, body, &mut out);
+                stats.forwards += 1;
             }
-            let Reverse(f) = self.pending.pop().unwrap();
-            if let Some(entry) = self.users.get_mut(&f.dst_user) {
-                Self::send_to(entry, now, f.kind, &f.body, &mut out);
-                self.stats.forwards += 1;
-            }
-        }
+        });
 
         // Housekeeping + remote-render frames.
         let status_interval = if self.server_status_rate_hz > 0.0 {
@@ -1092,6 +1142,130 @@ mod tests {
         assert_eq!(dst.users[&7].position, Vec3::new(3.0, 0.0, -2.0));
         // Unknown users extract to None.
         assert!(src.extract_user(99).is_none());
+    }
+
+    /// Every `(due, seq, receiver)` still queued.
+    fn queued(q: &ForwardQueue) -> Vec<(SimTime, u64, u32)> {
+        q.heads
+            .iter()
+            .flat_map(|Reverse((_, _, slot))| {
+                let run = &q.runs[*slot as usize];
+                run.entries[run.next..].iter().copied()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forward_runs_merge_like_one_heap_of_forwards() {
+        // Runs of 0-300 forwards due within a few milliseconds of when
+        // they are scheduled, so due times tie within and across runs,
+        // and drains stop part-way through runs.
+        let kind_of =
+            |run: u32| if run.is_multiple_of(3) { MsgKind::Game } else { MsgKind::Avatar };
+        let mut rng = SimRng::seed_from_u64(0xF0A5);
+        let mut queue = ForwardQueue::default();
+        let mut model = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = SimTime::ZERO;
+        let mut released = 0;
+        let mut drain = |queue: &mut ForwardQueue, model: &mut BinaryHeap<_>, now| {
+            let mut got = Vec::new();
+            queue.drain_due(now, |dst, kind, body: &Bytes| {
+                got.push((dst, kind, u32::from_le_bytes(body[..].try_into().unwrap())))
+            });
+            let mut want = Vec::new();
+            while let Some(&Reverse((due, _, dst, run))) = model.peek() {
+                if due > now {
+                    break;
+                }
+                model.pop();
+                want.push((dst, kind_of(run), run));
+            }
+            assert_eq!(got, want, "drain at {now}");
+            released += got.len();
+        };
+        for run in 0..400u32 {
+            let forwards: Vec<_> = (0..rng.range_u64(0, 300) as u32)
+                .map(|dst| (now + SimDuration::from_millis(rng.range_u64(0, 6)), dst))
+                .collect();
+            let body = Bytes::from(run.to_le_bytes().to_vec());
+            queue.push_run(kind_of(run), &body, &forwards);
+            for &(due, dst) in &forwards {
+                model.push(Reverse((due, seq, dst, run)));
+                seq += 1;
+            }
+            if rng.chance(0.6) {
+                now += SimDuration::from_millis(rng.range_u64(0, 3));
+                drain(&mut queue, &mut model, now);
+            }
+        }
+        drain(&mut queue, &mut model, now + SimDuration::from_secs(1));
+        assert!(model.is_empty() && queue.heads.is_empty());
+        assert_eq!(queue.free.len(), queue.runs.len(), "every run slot is free again");
+        assert!(released > 50_000, "released {released} forwards");
+    }
+
+    #[test]
+    fn forwards_skip_a_receiver_unregistered_mid_drain() {
+        // The server's forwards against one heap over every scheduled
+        // `(due, seq, receiver)`: the same receivers in the same order,
+        // with user 5's pending forwards skipped once it leaves.
+        let mut cfg = PlatformConfig::vrchat();
+        cfg.server_status_rate_hz = 0.0; // forwards only
+        let snode = node(20);
+        let mut server = DataServer::new(snode, &cfg, 31);
+        let nodes: Vec<NodeId> = (0..12).map(node).collect();
+        let mut clients: Vec<UdpChannel> = (0..12u32)
+            .map(|i| {
+                server.register(i, nodes[i as usize], 40_000 + i as u16, SimTime::ZERO);
+                UdpChannel::new(i as u16, 40_000 + i as u16, DATA_SERVER_PORT, SimTime::ZERO)
+            })
+            .collect();
+        let mut model = BinaryHeap::new();
+        let mut next_seq = 0;
+        let mut sent = 0;
+        for round in 0..8u64 {
+            let t = SimTime::from_millis(25 * round);
+            for i in 0..12u32 {
+                if !server.contains_user(i) {
+                    continue;
+                }
+                let pos = Vec3::new(i as f32, 0.0, 0.0);
+                let body = avatar_body(&cfg, i as u64 + 100 * round, pos, 0.0);
+                let (client, src) = (&mut clients[i as usize], nodes[i as usize]);
+                let pkt = udp_avatar_packet(client, t, &body, src, snode);
+                server.on_packet(t, &pkt);
+                for e in queued(&server.forwards) {
+                    if e.1 >= next_seq {
+                        model.push(Reverse(e));
+                    }
+                }
+                next_seq = server.forwards.next_seq;
+            }
+            for step in [7u64, 16, 24] {
+                let now = t + SimDuration::from_millis(step);
+                if round == 3 && step == 16 {
+                    let pending = queued(&server.forwards);
+                    assert!(pending.iter().any(|e| e.2 == 5), "5 has forwards pending");
+                    server.unregister(5);
+                }
+                let got: Vec<NodeId> = server.on_tick(now).into_iter().map(|(n, _)| n).collect();
+                let mut want = Vec::new();
+                while let Some(&Reverse((due, _, dst))) = model.peek() {
+                    if due > now {
+                        break;
+                    }
+                    model.pop();
+                    if server.contains_user(dst) {
+                        want.push(nodes[dst as usize]);
+                    }
+                }
+                assert_eq!(got, want, "round {round} tick at {now}");
+                sent += got.len() as u64;
+            }
+        }
+        assert_eq!(server.stats.forwards, sent);
+        assert!(sent > 500, "{sent} forwards");
     }
 
     #[test]

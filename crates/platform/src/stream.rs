@@ -89,11 +89,7 @@ impl StreamChannel {
         let mut framed = BytesMut::with_capacity(4 + msg.len());
         framed.put_u32(msg.len() as u32);
         framed.extend_from_slice(msg);
-        let mut stream = Vec::new();
-        for rec in seal_stream(CONTENT_APPDATA, &framed) {
-            stream.extend_from_slice(&rec);
-        }
-        self.tcp.send_data(now, &stream)
+        self.tcp.send_buf(now, seal_stream(CONTENT_APPDATA, &framed))
     }
 
     fn drain_queued(&mut self, now: SimTime, out: &mut Vec<Packet>) {

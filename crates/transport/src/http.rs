@@ -101,13 +101,13 @@ fn format_response(status: u16, body_len: usize) -> String {
     format!("HTTP/1.1 {status} {reason}\r\nContent-Length: {body_len}\r\n\r\n")
 }
 
-/// Seal application bytes and hand them to TCP.
-fn send_sealed(tcp: &mut TcpConnection, now: SimTime, plain: &[u8]) -> Vec<Packet> {
-    let mut stream = Vec::new();
-    for rec in seal_stream(CONTENT_APPDATA, plain) {
-        stream.extend_from_slice(&rec);
-    }
-    tcp.send_data(now, &stream)
+/// Seal application bytes and hand the records to TCP. The plaintext is
+/// freed first and TCP takes the sealed buffer, so a large response is
+/// written twice and held twice at most.
+fn send_sealed(tcp: &mut TcpConnection, now: SimTime, plain: Vec<u8>) -> Vec<Packet> {
+    let sealed = seal_stream(CONTENT_APPDATA, &plain);
+    drop(plain);
+    tcp.send_buf(now, sealed)
 }
 
 /// HTTPS client endpoint.
@@ -170,7 +170,7 @@ impl HttpClient {
         let head = format_request(method, path, body.len());
         let mut plain = head.into_bytes();
         plain.extend_from_slice(body);
-        send_sealed(&mut self.tcp, now, &plain)
+        send_sealed(&mut self.tcp, now, plain)
     }
 
     fn drain_queued(&mut self, now: SimTime) -> Vec<Packet> {
@@ -182,7 +182,7 @@ impl HttpClient {
             let req = format_request(&method, &path, body.len());
             let mut plain = req.into_bytes();
             plain.extend_from_slice(&body);
-            out.extend(send_sealed(&mut self.tcp, now, &plain));
+            out.extend(send_sealed(&mut self.tcp, now, plain));
         }
         out
     }
@@ -335,7 +335,7 @@ impl HttpServer {
                         let head = format_response(status, body_len);
                         let mut plain = head.into_bytes();
                         plain.extend(std::iter::repeat_n(0x42u8, body_len));
-                        out.extend(send_sealed(&mut self.tcp, now, &plain));
+                        out.extend(send_sealed(&mut self.tcp, now, plain));
                     }
                 }
             }

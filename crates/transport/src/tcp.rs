@@ -280,15 +280,35 @@ impl TcpConnection {
     /// Accept application bytes for transmission. Returns segments that can
     /// be sent immediately under the congestion window.
     pub fn send_data(&mut self, now: SimTime, data: &[u8]) -> Vec<Packet> {
-        if !matches!(self.state, TcpState::Established) {
-            // Buffer until established (or drop when closed/dead).
-            if matches!(self.state, TcpState::SynSent | TcpState::SynReceived) {
-                self.tx_pending.extend_from_slice(data);
+        self.queue_tx(now, |pending| pending.extend_from_slice(data))
+    }
+
+    /// [`send_data`](Self::send_data) for a buffer the caller gives up:
+    /// when nothing else is queued it becomes the send queue, uncopied.
+    pub fn send_buf(&mut self, now: SimTime, data: BytesMut) -> Vec<Packet> {
+        self.queue_tx(now, |pending| {
+            if pending.is_empty() {
+                *pending = data;
+            } else {
+                pending.extend_from_slice(&data);
             }
-            return Vec::new();
+        })
+    }
+
+    fn queue_tx(&mut self, now: SimTime, append: impl FnOnce(&mut BytesMut)) -> Vec<Packet> {
+        match self.state {
+            TcpState::Established => {
+                append(&mut self.tx_pending);
+                self.pump_tx(now)
+            }
+            // Buffer until established.
+            TcpState::SynSent | TcpState::SynReceived => {
+                append(&mut self.tx_pending);
+                Vec::new()
+            }
+            // Dropped when closed or dead.
+            _ => Vec::new(),
         }
-        self.tx_pending.extend_from_slice(data);
-        self.pump_tx(now)
     }
 
     /// Carve and emit as many segments as cwnd/flow control allow.

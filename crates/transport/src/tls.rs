@@ -53,27 +53,35 @@ impl Default for HandshakeProfile {
 
 /// Encode one application-data record.
 pub fn seal_record(content_type: u8, plaintext: &[u8]) -> Bytes {
-    assert!(plaintext.len() <= MAX_FRAGMENT, "fragment too large");
-    let body_len = plaintext.len() + RECORD_EXPANSION;
-    let mut buf = BytesMut::with_capacity(RECORD_HEADER_LEN + body_len);
-    buf.put_u8(CONTENT_APPDATA); // outer type is always appdata in TLS 1.3
-    buf.put_u16(0x0303); // legacy version
-    buf.put_u16(body_len as u16);
-    buf.extend_from_slice(plaintext);
-    buf.put_u8(content_type); // inner content type
-    buf.put_bytes(0xA5, RECORD_EXPANSION - 1); // stand-in AEAD tag
+    let mut buf = BytesMut::with_capacity(RECORD_OVERHEAD + plaintext.len());
+    put_record(&mut buf, content_type, plaintext);
     buf.freeze()
 }
 
-/// Split a plaintext into sealed records of at most [`MAX_FRAGMENT`].
-pub fn seal_stream(content_type: u8, plaintext: &[u8]) -> Vec<Bytes> {
+/// Split a plaintext into records of at most [`MAX_FRAGMENT`], sealed
+/// straight into one buffer of [`sealed_len`] bytes. An empty plaintext
+/// still makes one (empty) record.
+pub fn seal_stream(content_type: u8, plaintext: &[u8]) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(sealed_len(plaintext.len()));
     if plaintext.is_empty() {
-        return vec![seal_record(content_type, &[])];
+        put_record(&mut buf, content_type, &[]);
     }
-    plaintext
-        .chunks(MAX_FRAGMENT)
-        .map(|c| seal_record(content_type, c))
-        .collect()
+    for fragment in plaintext.chunks(MAX_FRAGMENT) {
+        put_record(&mut buf, content_type, fragment);
+    }
+    buf
+}
+
+/// Append one record carrying `fragment` to `buf`.
+fn put_record(buf: &mut BytesMut, content_type: u8, fragment: &[u8]) {
+    assert!(fragment.len() <= MAX_FRAGMENT, "fragment too large");
+    let body_len = fragment.len() + RECORD_EXPANSION;
+    buf.put_u8(CONTENT_APPDATA); // outer type is always appdata in TLS 1.3
+    buf.put_u16(0x0303); // legacy version
+    buf.put_u16(body_len as u16);
+    buf.extend_from_slice(fragment);
+    buf.put_u8(content_type); // inner content type
+    buf.put_bytes(0xA5, RECORD_EXPANSION - 1); // stand-in AEAD tag
 }
 
 /// Wire bytes needed to carry `plain_len` bytes of application data.
@@ -250,12 +258,7 @@ impl TlsSession {
 /// A handshake flight as sealed record bytes totalling roughly `size`.
 fn handshake_blob(size: usize) -> Bytes {
     let plain = vec![0x48u8; size.saturating_sub(RECORD_OVERHEAD)];
-    let records = seal_stream(CONTENT_HANDSHAKE, &plain);
-    let mut buf = BytesMut::new();
-    for r in records {
-        buf.extend_from_slice(&r);
-    }
-    buf.freeze()
+    seal_stream(CONTENT_HANDSHAKE, &plain).freeze()
 }
 
 #[cfg(test)]
@@ -288,24 +291,28 @@ mod tests {
     #[test]
     fn large_stream_fragments() {
         let plain = vec![1u8; MAX_FRAGMENT * 2 + 100];
-        let records = seal_stream(CONTENT_APPDATA, &plain);
-        assert_eq!(records.len(), 3);
         let mut u = RecordUnsealer::new();
-        let mut got = Vec::new();
-        for r in &records {
-            for rec in u.feed(r).unwrap() {
-                got.extend_from_slice(&rec.plaintext);
-            }
-        }
+        let records = u.feed(&seal_stream(CONTENT_APPDATA, &plain)).unwrap();
+        assert_eq!(records.len(), 3);
+        let got: Vec<u8> = records.iter().flat_map(|r| r.plaintext.iter().copied()).collect();
         assert_eq!(got, plain);
     }
 
     #[test]
-    fn sealed_len_matches_actual() {
-        for n in [0usize, 1, 100, MAX_FRAGMENT, MAX_FRAGMENT + 1, 40_000] {
-            let plain = vec![0u8; n];
-            let actual: usize = seal_stream(CONTENT_APPDATA, &plain).iter().map(|r| r.len()).sum();
-            assert_eq!(sealed_len(n), actual, "n = {n}");
+    fn seal_stream_is_the_concatenated_records() {
+        let around_a_record = [MAX_FRAGMENT - 1, MAX_FRAGMENT, MAX_FRAGMENT + 1];
+        for n in [0, 1, 100, 40_000, 5_000_000].into_iter().chain(around_a_record) {
+            let plain: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+            let mut records = Vec::new();
+            if n == 0 {
+                records.extend_from_slice(&seal_record(CONTENT_APPDATA, &[]));
+            }
+            for fragment in plain.chunks(MAX_FRAGMENT) {
+                records.extend_from_slice(&seal_record(CONTENT_APPDATA, fragment));
+            }
+            let sealed = seal_stream(CONTENT_APPDATA, &plain);
+            assert!(sealed[..] == records[..], "n = {n}");
+            assert_eq!(sealed.len(), sealed_len(n), "n = {n}");
         }
     }
 
@@ -385,13 +392,10 @@ mod tests {
             let plain: Vec<u8> = (0..rng.range_u64(0, 49_999))
                 .map(|_| rng.range_u64(0, 255) as u8)
                 .collect();
-            let records = seal_stream(CONTENT_APPDATA, &plain);
             let mut u = RecordUnsealer::new();
             let mut got = Vec::new();
-            for r in &records {
-                for rec in u.feed(r).unwrap() {
-                    got.extend_from_slice(&rec.plaintext);
-                }
+            for rec in u.feed(&seal_stream(CONTENT_APPDATA, &plain)).unwrap() {
+                got.extend_from_slice(&rec.plaintext);
             }
             assert_eq!(got, plain);
             assert_eq!(u.pending(), 0);
@@ -408,10 +412,7 @@ mod tests {
             let cuts: Vec<usize> = (0..rng.range_u64(0, 19))
                 .map(|_| rng.range_u64(1, 199) as usize)
                 .collect();
-            let mut stream = Vec::new();
-            for r in seal_stream(CONTENT_APPDATA, &plain) {
-                stream.extend_from_slice(&r);
-            }
+            let stream = seal_stream(CONTENT_APPDATA, &plain);
             let mut u = RecordUnsealer::new();
             let mut got = Vec::new();
             let mut pos = 0;

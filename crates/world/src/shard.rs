@@ -33,6 +33,10 @@ pub const GATEWAY_PORT: u16 = 7_100;
 /// residents come and go, so long runs don't exhaust the port space).
 const PORT_BASE: u16 = 20_000;
 
+/// Most residents a shard can hold at once: one client port each, from
+/// [`PORT_BASE`] up to but not including `u16::MAX`.
+const MAX_RESIDENTS: usize = (u16::MAX - PORT_BASE) as usize;
+
 /// Hash a tuple of values into a selection index. All workload choices
 /// derive from this, never from thread scheduling.
 fn mix(parts: &[u64]) -> u64 {
@@ -197,11 +201,15 @@ impl RoomShard {
 
     /// Admit a user (initial population or a committed hop/transfer):
     /// allocate a client port, register on the shard server, and seed a
-    /// motion state at the carried avatar position.
+    /// motion state at the carried avatar position. Panics, naming the
+    /// room, when the shard already holds `MAX_RESIDENTS` (45,535).
     pub fn admit(&mut self, profile: &UserProfile, now: SimTime) {
         let port = self.free_ports.pop().unwrap_or_else(|| {
             let p = self.next_port;
-            self.next_port += 1;
+            self.next_port = p.checked_add(1).unwrap_or_else(|| {
+                let room = self.room;
+                panic!("room {room} shard is full: {MAX_RESIDENTS} residents use every client port")
+            });
             p
         });
         self.server.admit_user(profile, self.client_node, port, now);
@@ -448,6 +456,19 @@ mod tests {
         shard.admit(&profile, SimTime::ZERO);
         assert_eq!(shard.next_port, next_before);
         assert!(shard.extract(99).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "room 0 shard is full: 45535 residents use every client port")]
+    fn admitting_past_the_port_limit_fails_loudly() {
+        let (mut shard, _cfg) = shard_with_users(MAX_RESIDENTS as u32);
+        assert_eq!(shard.residents(), MAX_RESIDENTS);
+        let profile = UserProfile {
+            user_id: MAX_RESIDENTS as u32,
+            position: spawn_spot(0),
+            heading_deg: 0.0,
+        };
+        shard.admit(&profile, SimTime::ZERO);
     }
 
     #[test]

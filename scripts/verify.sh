@@ -3,7 +3,7 @@
 # workspace has zero external dependencies and must keep building with
 # an empty cargo registry and no network.
 #
-#   scripts/verify.sh          # full gate: build + tests + unit tests + clippy + lint + perfbench + determinism
+#   scripts/verify.sh          # full gate: build + tests + unit tests + clippy + lint + perfbench (self-tests, pinned digests) + determinism
 #   scripts/verify.sh --fast   # skip the determinism run
 
 set -euo pipefail
@@ -40,6 +40,26 @@ cargo run --release -q -p svr-lint -- --json LINT.json
 # is not a workspace member, so the steps above never compile it.
 echo "==> bench: perfbench self-tests"
 CARGO_TARGET_DIR=.bench_build cargo test -q --manifest-path perfbench/Cargo.toml
+
+# Each listed workload's digest covers the simulated statistics of its
+# set-up, so it is the same on every host and for any --seconds; a
+# change that keeps simulated behaviour keeps every line.
+echo "==> bench: perfbench digests match scripts/perfbench_digests.txt"
+while read -r workload want; do
+    [[ -z "$workload" || "$workload" == \#* ]] && continue
+    if ! out="$(bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 0.5 --trace 0)"; then
+        printf '%s\n' "$out"
+        echo "perfbench $workload failed"
+        exit 1
+    fi
+    got="$(awk '$1 == "digest" { $1 = $1; print }' <<< "$out")"
+    if [[ "$got" != "$want" ]]; then
+        echo "perfbench $workload digest changed:"
+        echo "  pinned: $want"
+        echo "  got:    $got"
+        exit 1
+    fi
+done < scripts/perfbench_digests.txt
 
 if [[ "${1:-}" == "--fast" ]]; then
     echo "==> skipping determinism check (--fast)"
