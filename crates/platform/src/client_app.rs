@@ -197,7 +197,7 @@ impl ClientApp {
         let mut out: Vec<Outgoing> =
             syn.into_iter().map(|p| (self.control_server, p)).collect();
         if self.cfg.init_download_bytes > 0 {
-            let pkts = self.control.request(now, "GET", "/init", &[]);
+            let pkts = self.control.request(now, "GET", "/init", 0);
             out.extend(pkts.into_iter().map(|p| (self.control_server, p)));
         }
         self.phase = Phase::WelcomePage;
@@ -239,7 +239,7 @@ impl ClientApp {
         }
         // Hubs re-downloads the world on every join (§5.2's caching bug).
         if self.cfg.redownload_every_join && self.cfg.init_download_bytes > 0 {
-            let pkts = self.control.request(now, "GET", "/world", &[]);
+            let pkts = self.control.request(now, "GET", "/world", 0);
             out.extend(pkts.into_iter().map(|p| (self.control_server, p)));
         }
         self.next_avatar = now;
@@ -578,7 +578,7 @@ impl ClientApp {
             self.menus_remaining -= 1;
             self.next_menu = now + SimDuration::from_secs_f64(self.rng.range_f64(3.0, 8.0));
             let up = self.rng.range_u64(2_000, 8_000) as usize;
-            let pkts = self.control.request(now, "POST", "/menu", &vec![0u8; up]);
+            let pkts = self.control.request(now, "POST", "/menu", up);
             out.extend(pkts.into_iter().map(|p| (self.control_server, p)));
         }
 
@@ -589,8 +589,7 @@ impl ClientApp {
                 self.next_report = now + interval;
                 self.report_outstanding = true;
                 let path = if self.cfg.clock_sync && self.game.is_some() { "/sync" } else { "/report" };
-                let pkts =
-                    self.control.request(now, "POST", path, &vec![0u8; self.cfg.report_up_bytes]);
+                let pkts = self.control.request(now, "POST", path, self.cfg.report_up_bytes);
                 out.extend(pkts.into_iter().map(|p| (self.control_server, p)));
             }
         }

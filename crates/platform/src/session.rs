@@ -180,7 +180,7 @@ pub struct SessionConfig {
     pub netem_tcp_uplink: Option<NetemSchedule>,
     /// Capture packets at every AP (default: first two users only).
     pub capture_all: bool,
-    /// Driver step.
+    /// Driver step; must be positive.
     pub dt: SimDuration,
     /// Reference mode: tick every client every step instead of using the
     /// earliest-deadline queue. Produces identical results; kept as the
@@ -321,8 +321,9 @@ struct Session {
     poll_all_clients: bool,
     /// Earliest-deadline queue over per-user timers: idle clients are
     /// skipped instead of ticked every step. `user_due` holds the
-    /// currently-armed deadline; heap entries that disagree with it are
-    /// stale and ignored (lazy invalidation).
+    /// currently-armed deadline (`SimTime::MAX` for none), and a live
+    /// heap entry holds each finite one; heap entries that disagree with
+    /// it are stale and ignored (lazy invalidation).
     timer_heap: BinaryHeap<Reverse<(SimTime, usize)>>,
     user_due: Vec<SimTime>,
     due_scratch: Vec<usize>,
@@ -331,6 +332,7 @@ struct Session {
 impl Session {
     fn build(cfg: &SessionConfig) -> Session {
         assert!(cfg.n_users >= 1, "need at least one user");
+        assert!(cfg.dt > SimDuration::ZERO, "SessionConfig::dt must be positive, got {}", cfg.dt);
         let mut net = Network::new(cfg.seed);
         let router = net.add_node("campus-router", NodeKind::Router);
 
@@ -454,7 +456,7 @@ impl Session {
             next_sample: SimTime::from_secs(1),
             poll_all_clients: cfg.poll_all_clients,
             timer_heap: BinaryHeap::with_capacity(n),
-            user_due: vec![SimTime::ZERO; n],
+            user_due: vec![SimTime::MAX; n],
             due_scratch: Vec::with_capacity(n),
         }
     }
@@ -477,6 +479,10 @@ impl Session {
             (None, None) => SimTime::MAX,
         }
         .max(floor);
+        // An unchanged deadline already has its live entry.
+        if due == self.user_due[idx] {
+            return;
+        }
         self.user_due[idx] = due;
         if due < SimTime::MAX {
             self.timer_heap.push(Reverse((due, idx)));
@@ -939,6 +945,14 @@ mod tests {
                 assert_eq!(u.video_bytes, v.video_bytes);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "SessionConfig::dt must be positive, got 0")]
+    fn zero_step_is_rejected() {
+        let mut cfg = SessionConfig::walk_and_chat(PlatformConfig::vrchat(), 2, SimDuration::from_secs(1), 1);
+        cfg.dt = SimDuration::ZERO;
+        run_session(&cfg);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use svr_netsim::buf::{Bytes, BytesMut};
 use svr_netsim::{Packet, SimTime};
 use svr_transport::tcp::{TcpConfig, TcpConnection, TcpEvent};
 use svr_transport::tls::{
-    seal_stream, HandshakeProfile, RecordUnsealer, TlsSession, CONTENT_APPDATA, CONTENT_HANDSHAKE,
+    seal, HandshakeProfile, RecordUnsealer, TlsSession, CONTENT_APPDATA, CONTENT_HANDSHAKE,
 };
 
 /// Events from the stream.
@@ -89,7 +89,7 @@ impl StreamChannel {
         let mut framed = BytesMut::with_capacity(4 + msg.len());
         framed.put_u32(msg.len() as u32);
         framed.extend_from_slice(msg);
-        self.tcp.send_buf(now, seal_stream(CONTENT_APPDATA, &framed))
+        self.tcp.send_chunks(now, seal(CONTENT_APPDATA, &framed, 0, 0))
     }
 
     fn drain_queued(&mut self, now: SimTime, out: &mut Vec<Packet>) {
@@ -111,7 +111,7 @@ impl StreamChannel {
             match ev {
                 TcpEvent::Connected => {
                     if let Some(flight) = self.tls.flight_to_send() {
-                        out.extend(self.tcp.send_data(now, &flight));
+                        out.extend(self.tcp.send_chunks(now, flight));
                     }
                 }
                 TcpEvent::Data(data) => {
@@ -119,7 +119,7 @@ impl StreamChannel {
                     for rec in records {
                         if rec.content_type == CONTENT_HANDSHAKE {
                             if let Some(resp) = self.tls.on_handshake_record(&rec) {
-                                out.extend(self.tcp.send_data(now, &resp));
+                                out.extend(self.tcp.send_chunks(now, resp));
                             }
                             if self.tls.is_established() && !self.ready_emitted {
                                 self.ready_emitted = true;

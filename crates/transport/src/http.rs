@@ -9,10 +9,9 @@
 
 use crate::tcp::{TcpConfig, TcpConnection, TcpEvent};
 use crate::tls::{
-    seal_stream, HandshakeProfile, PlainRecord, RecordUnsealer, TlsSession, CONTENT_APPDATA,
+    seal, HandshakeProfile, PlainRecord, RecordUnsealer, TlsSession, CONTENT_APPDATA,
     CONTENT_HANDSHAKE,
 };
-use svr_netsim::buf::{Bytes, BytesMut};
 use std::collections::VecDeque;
 use svr_netsim::{Packet, SimTime};
 
@@ -42,26 +41,47 @@ pub enum HttpEvent {
     Dead,
 }
 
-/// Incremental parser for `Content-Length`-framed HTTP messages.
+/// Incremental parser for `Content-Length`-framed HTTP messages. It keeps
+/// the header of the message being read and counts body bytes without
+/// keeping them: nothing reads a body, only its length.
 #[derive(Debug, Default)]
 struct MessageParser {
-    buf: BytesMut,
+    /// Header bytes of the message being read, while its header is.
+    head: Vec<u8>,
+    /// Once its header is complete: the message, and the body bytes
+    /// still to come.
+    body: Option<(Message, usize)>,
 }
 
-/// One parsed message: start line + body.
+/// One parsed message: start line + body length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Message {
     start_line: String,
-    body: Bytes,
+    body_len: usize,
 }
 
 impl MessageParser {
-    fn feed(&mut self, data: &[u8]) -> Vec<Message> {
-        self.buf.extend_from_slice(data);
+    fn feed(&mut self, mut data: &[u8]) -> Vec<Message> {
         let mut out = Vec::new();
-        while let Some(header_end) = find_subslice(&self.buf, b"\r\n\r\n") {
-            let header = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-            let content_length = header
+        loop {
+            if let Some((_, left)) = &mut self.body {
+                let take = (*left).min(data.len());
+                *left -= take;
+                data = &data[take..];
+                if *left > 0 {
+                    break;
+                }
+                out.extend(self.body.take().map(|(msg, _)| msg));
+                continue;
+            }
+            let Some(end) = header_end(&self.head, data) else {
+                self.head.extend_from_slice(data);
+                break;
+            };
+            self.head.extend_from_slice(&data[..end]);
+            data = &data[end..];
+            let header = String::from_utf8_lossy(&self.head[..self.head.len() - 4]);
+            let body_len = header
                 .lines()
                 .find_map(|l| {
                     let l = l.trim();
@@ -71,23 +91,29 @@ impl MessageParser {
                     rest.trim().parse::<usize>().ok()
                 })
                 .unwrap_or(0);
-            let total = header_end + 4 + content_length;
-            if self.buf.len() < total {
-                break;
-            }
-            let msg = self.buf.split_to(total).freeze();
             let start_line = header.lines().next().unwrap_or_default().to_string();
-            out.push(Message {
-                start_line,
-                body: msg.slice(header_end + 4..),
-            });
+            self.head.clear();
+            self.body = Some((Message { start_line, body_len }, body_len));
         }
         out
     }
 }
 
-fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
+/// How many bytes of `data` complete a header of which `head` was read
+/// already: the search covers the new bytes and the last three old ones,
+/// where a `\r\n\r\n` cut by a record boundary starts.
+fn header_end(head: &[u8], data: &[u8]) -> Option<usize> {
+    const END: &[u8] = b"\r\n\r\n";
+    let old = &head[head.len().saturating_sub(3)..];
+    let mut edge = [0u8; 6];
+    let new = data.len().min(3);
+    edge[..old.len()].copy_from_slice(old);
+    edge[old.len()..old.len() + new].copy_from_slice(&data[..new]);
+    let across = edge[..old.len() + new].windows(4).position(|w| w == END);
+    match across {
+        Some(at) => Some(at + 4 - old.len()),
+        None => data.windows(4).position(|w| w == END).map(|at| at + 4),
+    }
 }
 
 fn format_request(method: &str, path: &str, body_len: usize) -> String {
@@ -101,13 +127,15 @@ fn format_response(status: u16, body_len: usize) -> String {
     format!("HTTP/1.1 {status} {reason}\r\nContent-Length: {body_len}\r\n\r\n")
 }
 
-/// Seal application bytes and hand the records to TCP. The plaintext is
-/// freed first and TCP takes the sealed buffer, so a large response is
-/// written twice and held twice at most.
-fn send_sealed(tcp: &mut TcpConnection, now: SimTime, plain: Vec<u8>) -> Vec<Packet> {
-    let sealed = seal_stream(CONTENT_APPDATA, &plain);
-    drop(plain);
-    tcp.send_buf(now, sealed)
+/// Fill byte of request bodies.
+const REQUEST_FILL: u8 = 0;
+/// Fill byte of response bodies.
+const RESPONSE_FILL: u8 = 0x42;
+
+/// Seal a message head and `body_len` fill bytes, and hand the records
+/// to TCP without copying them.
+fn send_sealed(tcp: &mut TcpConnection, now: SimTime, head: &str, fill: u8, body_len: usize) -> Vec<Packet> {
+    tcp.send_chunks(now, seal(CONTENT_APPDATA, head.as_bytes(), fill, body_len))
 }
 
 /// HTTPS client endpoint.
@@ -119,8 +147,8 @@ pub struct HttpClient {
     parser: MessageParser,
     /// Requests issued but not yet answered (FIFO; HTTP/1.1 pipelining).
     inflight: VecDeque<(String, SimTime)>,
-    /// Requests queued until TLS establishes.
-    queued: VecDeque<(String, Vec<u8>)>,
+    /// Request heads and body lengths queued until TLS establishes.
+    queued: VecDeque<(String, usize)>,
     ready_emitted: bool,
 }
 
@@ -158,31 +186,22 @@ impl HttpClient {
         &self.tcp
     }
 
-    /// Issue a request (queued until TLS is up).
-    pub fn request(&mut self, now: SimTime, method: &str, path: &str, body: &[u8]) -> Vec<Packet> {
+    /// Issue a request with a body of `body_len` bytes (queued until
+    /// TLS is up).
+    pub fn request(&mut self, now: SimTime, method: &str, path: &str, body_len: usize) -> Vec<Packet> {
+        self.inflight.push_back((path.to_string(), now));
+        let head = format_request(method, path, body_len);
         if !self.tls.is_established() {
-            self.queued.push_back((format!("{method} {path}"), body.to_vec()));
-            // Store enough to rebuild: we re-issue from `queued` on Ready.
-            self.inflight.push_back((path.to_string(), now));
+            self.queued.push_back((head, body_len));
             return Vec::new();
         }
-        self.inflight.push_back((path.to_string(), now));
-        let head = format_request(method, path, body.len());
-        let mut plain = head.into_bytes();
-        plain.extend_from_slice(body);
-        send_sealed(&mut self.tcp, now, plain)
+        send_sealed(&mut self.tcp, now, &head, REQUEST_FILL, body_len)
     }
 
     fn drain_queued(&mut self, now: SimTime) -> Vec<Packet> {
         let mut out = Vec::new();
-        while let Some((head, body)) = self.queued.pop_front() {
-            let mut it = head.splitn(2, ' ');
-            let method = it.next().unwrap_or("GET").to_string();
-            let path = it.next().unwrap_or("/").to_string();
-            let req = format_request(&method, &path, body.len());
-            let mut plain = req.into_bytes();
-            plain.extend_from_slice(&body);
-            out.extend(send_sealed(&mut self.tcp, now, plain));
+        while let Some((head, body_len)) = self.queued.pop_front() {
+            out.extend(send_sealed(&mut self.tcp, now, &head, REQUEST_FILL, body_len));
         }
         out
     }
@@ -198,7 +217,7 @@ impl HttpClient {
             match ev {
                 TcpEvent::Connected => {
                     if let Some(flight) = self.tls.flight_to_send() {
-                        out.extend(self.tcp.send_data(now, &flight));
+                        out.extend(self.tcp.send_chunks(now, flight));
                     }
                 }
                 TcpEvent::Data(data) => {
@@ -225,7 +244,7 @@ impl HttpClient {
     ) {
         if rec.content_type == CONTENT_HANDSHAKE {
             if let Some(resp) = self.tls.on_handshake_record(rec) {
-                out.extend(self.tcp.send_data(now, &resp));
+                out.extend(self.tcp.send_chunks(now, resp));
             }
             if self.tls.is_established() && !self.ready_emitted {
                 self.ready_emitted = true;
@@ -245,7 +264,7 @@ impl HttpClient {
                 events.push(HttpEvent::Response(HttpExchange {
                     path,
                     status,
-                    body_len: msg.body.len(),
+                    body_len: msg.body_len,
                     started,
                     completed: now,
                 }));
@@ -319,7 +338,7 @@ impl HttpServer {
                 for rec in records {
                     if rec.content_type == CONTENT_HANDSHAKE {
                         if let Some(resp) = self.tls.on_handshake_record(&rec) {
-                            out.extend(self.tcp.send_data(now, &resp));
+                            out.extend(self.tcp.send_chunks(now, resp));
                         }
                         continue;
                     }
@@ -330,12 +349,10 @@ impl HttpServer {
                             .nth(1)
                             .unwrap_or("/")
                             .to_string();
-                        let (status, body_len) = (self.responder)(&path, msg.body.len());
+                        let (status, body_len) = (self.responder)(&path, msg.body_len);
                         self.requests_served += 1;
                         let head = format_response(status, body_len);
-                        let mut plain = head.into_bytes();
-                        plain.extend(std::iter::repeat_n(0x42u8, body_len));
-                        out.extend(send_sealed(&mut self.tcp, now, plain));
+                        out.extend(send_sealed(&mut self.tcp, now, &head, RESPONSE_FILL, body_len));
                     }
                 }
             }
@@ -440,7 +457,7 @@ mod tests {
             (200, 5_000)
         }));
         let mut pkts = syn;
-        pkts.extend(client.request(SimTime::ZERO, "GET", "/menu", &[]));
+        pkts.extend(client.request(SimTime::ZERO, "GET", "/menu", 0));
         let events = run_pair(
             &mut client,
             &mut server,
@@ -470,7 +487,7 @@ mod tests {
         // handshake and still be answered.
         let (mut client, mut server, syn) = new_pair(Box::new(|_, _| (200, 10)));
         let mut pkts = syn;
-        pkts.extend(client.request(SimTime::ZERO, "POST", "/report", &[1u8; 500]));
+        pkts.extend(client.request(SimTime::ZERO, "POST", "/report", 500));
         let events = run_pair(
             &mut client,
             &mut server,
@@ -492,8 +509,8 @@ mod tests {
             (200, if path == "/a" { 100 } else { 200 })
         }));
         let mut pkts = syn;
-        pkts.extend(client.request(SimTime::ZERO, "GET", "/a", &[]));
-        pkts.extend(client.request(SimTime::ZERO, "GET", "/b", &[]));
+        pkts.extend(client.request(SimTime::ZERO, "GET", "/a", 0));
+        pkts.extend(client.request(SimTime::ZERO, "GET", "/b", 0));
         let events = run_pair(
             &mut client,
             &mut server,
@@ -516,34 +533,38 @@ mod tests {
         assert_eq!(resps[1].body_len, 200);
     }
 
+    /// Up to VRChat's 22 MB initialization download: the body is sealed
+    /// as shared records and counted, never buffered, on both sides.
     #[test]
     fn large_response_spans_many_segments() {
-        let (mut client, mut server, syn) = new_pair(Box::new(|_, _| (200, 300_000)));
-        let mut pkts = syn;
-        pkts.extend(client.request(SimTime::ZERO, "GET", "/world.glb", &[]));
-        let events = run_pair(
-            &mut client,
-            &mut server,
-            pkts,
-            SimDuration::from_millis(10),
-            SimTime::ZERO,
-            SimTime::from_secs(60),
-        );
-        let resp = events
-            .iter()
-            .find_map(|e| match e {
-                HttpEvent::Response(x) => Some(x.clone()),
-                _ => None,
-            })
-            .expect("large response completes");
-        assert_eq!(resp.body_len, 300_000);
+        for size in [300_000, 22_000_000] {
+            let (mut client, mut server, syn) = new_pair(Box::new(move |_, _| (200, size)));
+            let mut pkts = syn;
+            pkts.extend(client.request(SimTime::ZERO, "GET", "/world.glb", 0));
+            let events = run_pair(
+                &mut client,
+                &mut server,
+                pkts,
+                SimDuration::from_millis(10),
+                SimTime::ZERO,
+                SimTime::from_secs(60),
+            );
+            let resp = events
+                .iter()
+                .find_map(|e| match e {
+                    HttpEvent::Response(x) => Some(x.clone()),
+                    _ => None,
+                })
+                .expect("large response completes");
+            assert_eq!(resp.body_len, size);
+        }
     }
 
     #[test]
     fn request_latency_includes_handshake_and_rtt() {
         let (mut client, mut server, syn) = new_pair(Box::new(|_, _| (200, 10)));
         let mut pkts = syn;
-        pkts.extend(client.request(SimTime::ZERO, "GET", "/x", &[]));
+        pkts.extend(client.request(SimTime::ZERO, "GET", "/x", 0));
         let delay = SimDuration::from_millis(35); // one-way; RTT 70 ms like Hubs
         let events = run_pair(
             &mut client,
@@ -576,7 +597,7 @@ mod tests {
         assert!(p.feed(&msg[10..40]).is_empty());
         let done = p.feed(&msg[40..]);
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].body.as_ref(), b"hello");
+        assert_eq!(done[0].body_len, 5);
         assert_eq!(done[0].start_line, "HTTP/1.1 200 OK");
     }
 
@@ -586,8 +607,26 @@ mod tests {
         let two = b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\nAHTTP/1.1 404 Error\r\nContent-Length: 0\r\n\r\n";
         let done = p.feed(two);
         assert_eq!(done.len(), 2);
-        assert_eq!(done[0].body.as_ref(), b"A");
+        assert_eq!(done[0].body_len, 1);
         assert!(done[1].start_line.contains("404"));
+    }
+
+    /// Two pipelined messages fed in two parts, cut at every offset:
+    /// inside a start line, a `\r\n\r\n`, a body, or between them.
+    #[test]
+    fn message_parser_counts_bodies_at_every_split_point() {
+        let two = b"POST /menu HTTP/1.1\r\nContent-Length: 8\r\n\r\nAB\r\n\r\nCDHTTP/1.1 200 OK\r\ncontent-length: 12\r\n\r\n\r\n\r\n12345678";
+        let want = [
+            Message { start_line: "POST /menu HTTP/1.1".into(), body_len: 8 },
+            Message { start_line: "HTTP/1.1 200 OK".into(), body_len: 12 },
+        ];
+        for cut in 0..=two.len() {
+            let mut p = MessageParser::default();
+            let mut done = p.feed(&two[..cut]);
+            done.extend(p.feed(&two[cut..]));
+            assert_eq!(done, want, "cut at {cut}");
+            assert!(p.head.is_empty() && p.body.is_none(), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -595,6 +634,6 @@ mod tests {
         let mut p = MessageParser::default();
         let done = p.feed(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(done.len(), 1);
-        assert!(done[0].body.is_empty());
+        assert_eq!(done[0].body_len, 0);
     }
 }

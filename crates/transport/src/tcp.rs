@@ -19,7 +19,7 @@
 //! wrap (connections in the study move far less than 4 GiB), immediate
 //! ACKs (no delayed-ACK timer), a fixed peer window, and no SACK.
 
-use svr_netsim::buf::{Bytes, BytesMut};
+use svr_netsim::buf::Bytes;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use svr_netsim::{Packet, SimDuration, SimTime, TcpFlags, TransportHeader};
@@ -110,10 +110,15 @@ pub struct TcpConnection {
     snd_una: u32,
     /// Next sequence number to use.
     snd_nxt: u32,
-    /// App bytes accepted but not yet segmented.
-    tx_pending: BytesMut,
+    /// App bytes accepted but not yet segmented, as the chunks they
+    /// were written in; segments are cut from the front.
+    tx_queue: VecDeque<Bytes>,
+    /// Bytes in `tx_queue`.
+    tx_queued: usize,
     /// Segments in flight.
     unacked: VecDeque<TxSegment>,
+    /// Payload bytes in `unacked`.
+    in_flight: usize,
     /// Congestion window in bytes.
     cwnd: usize,
     /// Slow-start threshold in bytes.
@@ -159,8 +164,10 @@ impl TcpConnection {
             remote_port,
             snd_una: 0,
             snd_nxt: 0,
-            tx_pending: BytesMut::new(),
+            tx_queue: VecDeque::new(),
+            tx_queued: 0,
             unacked: VecDeque::new(),
+            in_flight: 0,
             cwnd: cfg.mss * cfg.initial_cwnd_segments as usize,
             ssthresh: usize::MAX / 2,
             dup_acks: 0,
@@ -209,7 +216,7 @@ impl TcpConnection {
 
     /// Payload bytes currently in flight.
     pub fn bytes_in_flight(&self) -> usize {
-        self.unacked.iter().map(|s| s.data.len()).sum()
+        self.in_flight
     }
 
     /// Current congestion window in bytes.
@@ -280,46 +287,70 @@ impl TcpConnection {
     /// Accept application bytes for transmission. Returns segments that can
     /// be sent immediately under the congestion window.
     pub fn send_data(&mut self, now: SimTime, data: &[u8]) -> Vec<Packet> {
-        self.queue_tx(now, |pending| pending.extend_from_slice(data))
+        self.send_chunks(now, [Bytes::copy_from_slice(data)])
     }
 
-    /// [`send_data`](Self::send_data) for a buffer the caller gives up:
-    /// when nothing else is queued it becomes the send queue, uncopied.
-    pub fn send_buf(&mut self, now: SimTime, data: BytesMut) -> Vec<Packet> {
-        self.queue_tx(now, |pending| {
-            if pending.is_empty() {
-                *pending = data;
-            } else {
-                pending.extend_from_slice(&data);
-            }
-        })
-    }
-
-    fn queue_tx(&mut self, now: SimTime, append: impl FnOnce(&mut BytesMut)) -> Vec<Packet> {
-        match self.state {
-            TcpState::Established => {
-                append(&mut self.tx_pending);
-                self.pump_tx(now)
-            }
+    /// [`send_data`](Self::send_data) for shared chunks, sent as their
+    /// concatenation without a copy: every chunk is queued before one
+    /// pump, so segment boundaries do not depend on how the bytes were
+    /// split into chunks.
+    pub fn send_chunks(&mut self, now: SimTime, chunks: impl IntoIterator<Item = Bytes>) -> Vec<Packet> {
+        let pump = match self.state {
+            TcpState::Established => true,
             // Buffer until established.
-            TcpState::SynSent | TcpState::SynReceived => {
-                append(&mut self.tx_pending);
-                Vec::new()
-            }
+            TcpState::SynSent | TcpState::SynReceived => false,
             // Dropped when closed or dead.
-            _ => Vec::new(),
+            _ => return Vec::new(),
+        };
+        for chunk in chunks.into_iter().filter(|c| !c.is_empty()) {
+            self.tx_queued += chunk.len();
+            self.tx_queue.push_back(chunk);
         }
+        if pump {
+            self.pump_tx(now)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Cut the next `len` queued bytes off the front of the send queue:
+    /// a slice of the front chunk when it holds them all, one gathered
+    /// copy when they straddle chunks.
+    fn take_tx(&mut self, len: usize) -> Bytes {
+        self.tx_queued -= len;
+        let front = self.tx_queue.front_mut().expect("queued bytes");
+        if front.len() > len {
+            let seg = front.slice(..len);
+            *front = front.slice(len..);
+            return seg;
+        }
+        if front.len() == len {
+            return self.tx_queue.pop_front().expect("front exists");
+        }
+        let mut seg = Vec::with_capacity(len);
+        while seg.len() < len {
+            let front = self.tx_queue.front_mut().expect("queued bytes");
+            let take = front.len().min(len - seg.len());
+            seg.extend_from_slice(&front[..take]);
+            if take == front.len() {
+                self.tx_queue.pop_front();
+            } else {
+                *front = front.slice(take..);
+            }
+        }
+        Bytes::from(seg)
     }
 
     /// Carve and emit as many segments as cwnd/flow control allow.
     fn pump_tx(&mut self, now: SimTime) -> Vec<Packet> {
         let mut out = Vec::new();
         let window = self.cwnd.min(self.cfg.peer_window);
-        while !self.tx_pending.is_empty() && self.bytes_in_flight() < window {
-            let take = self.tx_pending.len().min(self.cfg.mss);
-            let data = self.tx_pending.split_to(take).freeze();
+        while self.tx_queued > 0 && self.in_flight < window {
+            let take = self.tx_queued.min(self.cfg.mss);
+            let data = self.take_tx(take);
             let seq = self.snd_nxt;
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
+            self.in_flight += take;
             out.push(self.make_packet(seq, self.rcv_nxt, TcpFlags::DATA, data.clone()));
             self.unacked.push_back(TxSegment {
                 seq,
@@ -329,7 +360,7 @@ impl TcpConnection {
                 retransmitted: false,
             });
         }
-        if self.tx_pending.is_empty() && self.fin_queued && self.fin_sent_seq.is_none() {
+        if self.tx_queued == 0 && self.fin_queued && self.fin_sent_seq.is_none() {
             let seq = self.snd_nxt;
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
             self.fin_sent_seq = Some(seq);
@@ -423,6 +454,7 @@ impl TcpConnection {
                         let sample = now.saturating_since(seg.first_sent);
                         self.update_rtt(sample);
                     }
+                    self.in_flight -= seg.data.len();
                     self.bytes_acked += seg.data.len() as u64;
                 }
                 // Eifel/F-RTO undo: a cumulative ACK covering segments we
@@ -1142,9 +1174,8 @@ mod tests {
         assert!(lossy_transfer(7, 0.3, 50_000));
     }
 
-    /// Horizon Worlds' 5 MB initialization download: the send queue is
-    /// cut into about 3,600 segments, and its consumed prefix reclaimed
-    /// about a dozen times.
+    /// Horizon Worlds' 5 MB initialization download, written as one
+    /// chunk and cut into about 3,600 segments that view it.
     #[test]
     fn init_download_delivers_exact_stream() {
         assert!(
@@ -1155,6 +1186,116 @@ mod tests {
             lossy_transfer(12, 0.02, 5_000_000),
             "download at 2% loss corrupted or stalled"
         );
+    }
+
+    /// A sender and its receiver, exchanging packets instantly, one
+    /// simulated millisecond per round.
+    struct Lane {
+        tx: TcpConnection,
+        rx: TcpConnection,
+        /// Every data segment the sender put on the wire, in order.
+        sent: Vec<Packet>,
+    }
+
+    impl Lane {
+        fn established(now: &mut SimTime) -> Lane {
+            let cfg = TcpConfig::default();
+            let (tx, syn) = TcpConnection::client(cfg, 5000, 443, *now);
+            let mut lane = Lane { tx, rx: TcpConnection::listen(cfg, 443, 5000), sent: Vec::new() };
+            lane.drain(now, syn);
+            assert_eq!((lane.tx.state, lane.rx.state), (TcpState::Established, TcpState::Established));
+            lane
+        }
+
+        /// Deliver `to_rx` and everything it causes, firing the sender's
+        /// retransmission timer whenever the wire falls silent with data
+        /// unacknowledged.
+        fn drain(&mut self, now: &mut SimTime, mut to_rx: Vec<Packet>) {
+            loop {
+                if to_rx.is_empty() {
+                    match self.tx.next_timer() {
+                        Some(at) if self.tx.has_unacked_data() => {
+                            *now = (*now).max(at);
+                            to_rx = self.tx.on_tick(*now).0;
+                        }
+                        _ => return,
+                    }
+                }
+                *now += SimDuration::from_millis(1);
+                self.sent.extend(to_rx.iter().filter(|p| !p.payload.is_empty()).cloned());
+                let mut acks = Vec::new();
+                for p in to_rx.drain(..) {
+                    acks.extend(self.rx.on_packet(*now, &p).0);
+                }
+                for p in acks {
+                    to_rx.extend(self.tx.on_packet(*now, &p).0);
+                }
+            }
+        }
+    }
+
+    /// Writes given as 1–5 chunks must go on the wire as the same
+    /// segments (count, `seq`, bytes) as the same writes given as one
+    /// contiguous buffer, through acks and a retransmission; a segment
+    /// that lies inside one chunk must be a view of that chunk.
+    #[test]
+    fn chunked_writes_segment_like_contiguous_ones() {
+        let mss = TcpConfig::default().mss;
+        let mut rng = svr_netsim::SimRng::seed_from_u64(0x7C9_0002);
+        let mut lens = vec![1, mss - 1, mss, mss + 1, 0, 40_000, 2 * mss];
+        lens.extend((0..25).map(|_| rng.range_u64(0, 40_000) as usize));
+        let (mut now, mut start) = (SimTime::ZERO, SimTime::ZERO);
+        let mut chunked = Lane::established(&mut now);
+        let mut contiguous = Lane::established(&mut start);
+        // Each write's stream offset and chunks, and every byte written.
+        let mut writes: Vec<(usize, Vec<Bytes>)> = Vec::new();
+        let mut stream: Vec<u8> = Vec::new();
+        for (i, len) in lens.into_iter().enumerate() {
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let mut cuts: Vec<usize> =
+                (0..rng.range_u64(0, 4)).map(|_| rng.range_u64(0, len as u64) as usize).collect();
+            cuts.sort_unstable();
+            let chunks: Vec<Bytes> = [0]
+                .into_iter()
+                .chain(cuts.iter().copied())
+                .zip(cuts.iter().copied().chain([len]))
+                .map(|(a, b)| Bytes::copy_from_slice(&data[a..b]))
+                .collect();
+            writes.push((stream.len(), chunks.clone()));
+            stream.extend_from_slice(&data);
+            let a = chunked.tx.send_chunks(now, chunks);
+            let b = contiguous.tx.send_data(now, &data);
+            // One write loses its first flight and is recovered by the
+            // retransmission timer.
+            let (a, b) = if i == 5 { (Vec::new(), Vec::new()) } else { (a, b) };
+            chunked.drain(&mut now, a);
+            contiguous.drain(&mut start, b);
+            assert_eq!(now, start, "write {i}: the lanes diverged in time");
+            for lane in [&chunked, &contiguous] {
+                assert_eq!(lane.tx.bytes_in_flight(), 0, "write {i}");
+                assert_eq!(lane.rx.bytes_delivered, stream.len() as u64, "write {i}");
+            }
+        }
+        assert!(chunked.tx.retransmissions > 0, "no segment was retransmitted");
+        assert_eq!(chunked.sent.len(), contiguous.sent.len(), "segment count");
+        let mut shared = 0;
+        for (x, y) in chunked.sent.iter().zip(&contiguous.sent) {
+            assert_eq!(x.header.seq, y.header.seq);
+            assert_eq!(x.payload, y.payload, "seq {}", x.header.seq);
+            let at = x.header.seq as usize - 1;
+            assert!(x.payload[..] == stream[at..at + x.payload.len()], "seq {}", x.header.seq);
+            let (start, chunks) = writes.iter().rev().find(|(start, _)| *start <= at).unwrap();
+            let mut chunk_at = *start;
+            for chunk in chunks {
+                let end = chunk_at + chunk.len();
+                if chunk_at <= at && at + x.payload.len() <= end {
+                    assert_eq!(x.payload.as_ptr(), chunk[at - chunk_at..].as_ptr(), "seq {} copied", x.header.seq);
+                    shared += 1;
+                }
+                chunk_at = end;
+            }
+        }
+        assert!(shared * 2 > chunked.sent.len(), "only {shared} segments lie inside one chunk");
     }
 
     #[test]

@@ -51,35 +51,48 @@ impl Default for HandshakeProfile {
     }
 }
 
-/// Encode one application-data record.
-pub fn seal_record(content_type: u8, plaintext: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(RECORD_OVERHEAD + plaintext.len());
-    put_record(&mut buf, content_type, plaintext);
-    buf.freeze()
-}
-
-/// Split a plaintext into records of at most [`MAX_FRAGMENT`], sealed
-/// straight into one buffer of [`sealed_len`] bytes. An empty plaintext
+/// Seal `head ++ [fill; n]` as records of at most [`MAX_FRAGMENT`]
+/// plaintext bytes each, and return the record stream as shared chunks,
+/// in order. The records that carry head bytes share one buffer, the
+/// last of them topped up with fill. Every further full record is a
+/// clone of one sealed record of fill bytes, however long the body, and
+/// a short last record gets a buffer of its own. An empty plaintext
 /// still makes one (empty) record.
-pub fn seal_stream(content_type: u8, plaintext: &[u8]) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(sealed_len(plaintext.len()));
-    if plaintext.is_empty() {
-        put_record(&mut buf, content_type, &[]);
+pub fn seal(content_type: u8, head: &[u8], fill: u8, n: usize) -> Vec<Bytes> {
+    let fill_record = |len: usize| {
+        let mut buf = BytesMut::with_capacity(RECORD_OVERHEAD + len);
+        put_record(&mut buf, content_type, &[], fill, len);
+        buf.freeze()
+    };
+    let mut chunks = Vec::new();
+    let top_up = (head.len().next_multiple_of(MAX_FRAGMENT) - head.len()).min(n);
+    if !head.is_empty() {
+        let mut lead = BytesMut::with_capacity(sealed_len(head.len() + top_up));
+        for part in head.chunks(MAX_FRAGMENT) {
+            // Only the last part can be short.
+            put_record(&mut lead, content_type, part, fill, top_up.min(MAX_FRAGMENT - part.len()));
+        }
+        chunks.push(lead.freeze());
     }
-    for fragment in plaintext.chunks(MAX_FRAGMENT) {
-        put_record(&mut buf, content_type, fragment);
+    let (full, short) = ((n - top_up) / MAX_FRAGMENT, (n - top_up) % MAX_FRAGMENT);
+    if full > 0 {
+        chunks.extend(std::iter::repeat_n(fill_record(MAX_FRAGMENT), full));
     }
-    buf
+    if short > 0 || head.len() + n == 0 {
+        chunks.push(fill_record(short));
+    }
+    chunks
 }
 
-/// Append one record carrying `fragment` to `buf`.
-fn put_record(buf: &mut BytesMut, content_type: u8, fragment: &[u8]) {
-    assert!(fragment.len() <= MAX_FRAGMENT, "fragment too large");
-    let body_len = fragment.len() + RECORD_EXPANSION;
+/// Append one record carrying `head ++ [fill; fill_len]` to `buf`.
+fn put_record(buf: &mut BytesMut, content_type: u8, head: &[u8], fill: u8, fill_len: usize) {
+    let plain_len = head.len() + fill_len;
+    assert!(plain_len <= MAX_FRAGMENT, "fragment too large");
     buf.put_u8(CONTENT_APPDATA); // outer type is always appdata in TLS 1.3
     buf.put_u16(0x0303); // legacy version
-    buf.put_u16(body_len as u16);
-    buf.extend_from_slice(fragment);
+    buf.put_u16((plain_len + RECORD_EXPANSION) as u16);
+    buf.put_slice(head);
+    buf.put_bytes(fill, fill_len);
     buf.put_u8(content_type); // inner content type
     buf.put_bytes(0xA5, RECORD_EXPANSION - 1); // stand-in AEAD tag
 }
@@ -214,10 +227,10 @@ impl TlsSession {
         self.state == HsState::Established
     }
 
-    /// The next handshake bytes this endpoint should write, if any.
+    /// The next handshake records this endpoint should write, if any.
     /// Call once the transport connects, and again after each incoming
     /// handshake record.
-    pub fn flight_to_send(&mut self) -> Option<Bytes> {
+    pub fn flight_to_send(&mut self) -> Option<Vec<Bytes>> {
         match (self.is_client, self.state) {
             (true, HsState::Start) => {
                 self.state = HsState::HelloSent;
@@ -227,8 +240,8 @@ impl TlsSession {
         }
     }
 
-    /// Process an incoming handshake record; returns response bytes.
-    pub fn on_handshake_record(&mut self, record: &PlainRecord) -> Option<Bytes> {
+    /// Process an incoming handshake record; returns response records.
+    pub fn on_handshake_record(&mut self, record: &PlainRecord) -> Option<Vec<Bytes>> {
         if record.content_type != CONTENT_HANDSHAKE {
             return None;
         }
@@ -255,19 +268,47 @@ impl TlsSession {
     }
 }
 
-/// A handshake flight as sealed record bytes totalling roughly `size`.
-fn handshake_blob(size: usize) -> Bytes {
-    let plain = vec![0x48u8; size.saturating_sub(RECORD_OVERHEAD)];
-    seal_stream(CONTENT_HANDSHAKE, &plain).freeze()
+/// A handshake flight as sealed records totalling roughly `size` bytes.
+fn handshake_blob(size: usize) -> Vec<Bytes> {
+    seal(CONTENT_HANDSHAKE, &[], 0x48, size.saturating_sub(RECORD_OVERHEAD))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn joined(chunks: &[Bytes]) -> Vec<u8> {
+        chunks.iter().flat_map(|c| c.iter().copied()).collect()
+    }
+
+    /// The record stream of `plain`, concatenated.
+    fn sealed(plain: &[u8]) -> Vec<u8> {
+        joined(&seal(CONTENT_APPDATA, plain, 0, 0))
+    }
+
+    /// Records of at most [`MAX_FRAGMENT`] bytes cut from one contiguous
+    /// plaintext, written one after another without sharing.
+    fn reference_stream(content_type: u8, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let fragments: Vec<&[u8]> = if plaintext.is_empty() {
+            vec![&[]]
+        } else {
+            plaintext.chunks(MAX_FRAGMENT).collect()
+        };
+        for fragment in fragments {
+            out.push(CONTENT_APPDATA);
+            out.extend_from_slice(&[3, 3]);
+            out.extend_from_slice(&((fragment.len() + RECORD_EXPANSION) as u16).to_be_bytes());
+            out.extend_from_slice(fragment);
+            out.push(content_type);
+            out.extend_from_slice(&[0xA5; RECORD_EXPANSION - 1]);
+        }
+        out
+    }
+
     #[test]
     fn record_roundtrip() {
-        let sealed = seal_record(CONTENT_APPDATA, b"GET / HTTP/1.1");
+        let sealed = sealed(b"GET / HTTP/1.1");
         assert_eq!(sealed.len(), 14 + RECORD_OVERHEAD);
         let mut u = RecordUnsealer::new();
         let recs = u.feed(&sealed).unwrap();
@@ -278,7 +319,7 @@ mod tests {
 
     #[test]
     fn records_split_across_segments() {
-        let sealed = seal_record(CONTENT_APPDATA, &[7u8; 1000]);
+        let sealed = sealed(&[7u8; 1000]);
         let mut u = RecordUnsealer::new();
         assert!(u.feed(&sealed[..100]).unwrap().is_empty());
         assert!(u.feed(&sealed[100..600]).unwrap().is_empty());
@@ -292,34 +333,56 @@ mod tests {
     fn large_stream_fragments() {
         let plain = vec![1u8; MAX_FRAGMENT * 2 + 100];
         let mut u = RecordUnsealer::new();
-        let records = u.feed(&seal_stream(CONTENT_APPDATA, &plain)).unwrap();
+        let records = u.feed(&joined(&seal(CONTENT_APPDATA, &[], 1, plain.len()))).unwrap();
         assert_eq!(records.len(), 3);
         let got: Vec<u8> = records.iter().flat_map(|r| r.plaintext.iter().copied()).collect();
         assert_eq!(got, plain);
     }
 
+    /// The chunks concatenate to the records cut from the contiguous
+    /// plaintext, for heads around and past one record and bodies around
+    /// a record, at download sizes and at none.
     #[test]
-    fn seal_stream_is_the_concatenated_records() {
-        let around_a_record = [MAX_FRAGMENT - 1, MAX_FRAGMENT, MAX_FRAGMENT + 1];
-        for n in [0, 1, 100, 40_000, 5_000_000].into_iter().chain(around_a_record) {
-            let plain: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
-            let mut records = Vec::new();
-            if n == 0 {
-                records.extend_from_slice(&seal_record(CONTENT_APPDATA, &[]));
+    fn seal_matches_the_contiguous_record_stream() {
+        let bodies = [0, 1, MAX_FRAGMENT - 1, MAX_FRAGMENT, MAX_FRAGMENT + 1, 40_000, 5_000_000, 22_000_000];
+        for head_len in [0, 1, 40, 16_400] {
+            let head: Vec<u8> = (0..head_len).map(|i| (i % 251) as u8).collect();
+            for n in bodies {
+                let mut plain = head.clone();
+                plain.resize(head_len + n, 0x42);
+                let want = reference_stream(CONTENT_APPDATA, &plain);
+                let chunks = seal(CONTENT_APPDATA, &head, 0x42, n);
+                let mut pos = 0;
+                for chunk in &chunks {
+                    assert!(
+                        chunk[..] == want[pos..pos + chunk.len()],
+                        "head {head_len}, body {n}: chunk at {pos} differs"
+                    );
+                    pos += chunk.len();
+                }
+                assert_eq!(pos, want.len(), "head {head_len}, body {n}");
+                assert_eq!(pos, sealed_len(head_len + n), "head {head_len}, body {n}");
             }
-            for fragment in plain.chunks(MAX_FRAGMENT) {
-                records.extend_from_slice(&seal_record(CONTENT_APPDATA, fragment));
-            }
-            let sealed = seal_stream(CONTENT_APPDATA, &plain);
-            assert!(sealed[..] == records[..], "n = {n}");
-            assert_eq!(sealed.len(), sealed_len(n), "n = {n}");
         }
     }
 
     #[test]
+    fn full_fill_records_share_one_sealed_record() {
+        let n = 22_000_000;
+        let chunks = seal(CONTENT_APPDATA, b"HTTP/1.1 200 OK\r\n\r\n", 0x42, n);
+        let full = &chunks[1..chunks.len() - 1];
+        let head_fill = MAX_FRAGMENT - 19;
+        assert_eq!(full.len(), (n - head_fill) / MAX_FRAGMENT);
+        for record in full {
+            assert_eq!(record.len(), MAX_FRAGMENT + RECORD_OVERHEAD);
+            assert_eq!(record.as_ptr(), full[0].as_ptr(), "a fill record was sealed twice");
+        }
+        assert_ne!(chunks[0].as_ptr(), full[0].as_ptr());
+    }
+
+    #[test]
     fn corrupted_tag_detected() {
-        let sealed = seal_record(CONTENT_APPDATA, b"data");
-        let mut bad = sealed.to_vec();
+        let mut bad = sealed(b"data");
         let last = bad.len() - 1;
         bad[last] = 0;
         let mut u = RecordUnsealer::new();
@@ -342,13 +405,13 @@ mod tests {
         let mut s_un = RecordUnsealer::new();
 
         // Client hello.
-        let hello = client.flight_to_send().expect("client hello");
+        let hello = joined(&client.flight_to_send().expect("client hello"));
         assert!(server.flight_to_send().is_none(), "server never speaks first");
         // Server processes, responds with its flight.
         let mut server_out = BytesMut::new();
         for rec in s_un.feed(&hello).unwrap() {
             if let Some(resp) = server.on_handshake_record(&rec) {
-                server_out.extend_from_slice(&resp);
+                server_out.extend_from_slice(&joined(&resp));
             }
         }
         assert!(!server.is_established());
@@ -356,7 +419,7 @@ mod tests {
         let mut client_out = BytesMut::new();
         for rec in c_un.feed(&server_out).unwrap() {
             if let Some(resp) = client.on_handshake_record(&rec) {
-                client_out.extend_from_slice(&resp);
+                client_out.extend_from_slice(&joined(&resp));
             }
         }
         assert!(client.is_established());
@@ -364,7 +427,7 @@ mod tests {
         let mut tickets = BytesMut::new();
         for rec in s_un.feed(&client_out).unwrap() {
             if let Some(resp) = server.on_handshake_record(&rec) {
-                tickets.extend_from_slice(&resp);
+                tickets.extend_from_slice(&joined(&resp));
             }
         }
         assert!(server.is_established());
@@ -394,7 +457,7 @@ mod tests {
                 .collect();
             let mut u = RecordUnsealer::new();
             let mut got = Vec::new();
-            for rec in u.feed(&seal_stream(CONTENT_APPDATA, &plain)).unwrap() {
+            for rec in u.feed(&sealed(&plain)).unwrap() {
                 got.extend_from_slice(&rec.plaintext);
             }
             assert_eq!(got, plain);
@@ -412,7 +475,7 @@ mod tests {
             let cuts: Vec<usize> = (0..rng.range_u64(0, 19))
                 .map(|_| rng.range_u64(1, 199) as usize)
                 .collect();
-            let stream = seal_stream(CONTENT_APPDATA, &plain);
+            let stream = sealed(&plain);
             let mut u = RecordUnsealer::new();
             let mut got = Vec::new();
             let mut pos = 0;
