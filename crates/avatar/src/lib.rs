@@ -17,11 +17,6 @@
 //! * [`quant`] — position/rotation quantizers with bounded error;
 //! * [`codec`] — the pose wire format (quantized or full-precision);
 //! * [`motion`] — deterministic motion synthesis (idle, walk, turn);
-//! * [`gesture`] — controller-gesture recognition driving facial
-//!   expressions (Worlds' thumbs-up/down, Fig. 5);
-//! * [`ik`] — two-bone inverse kinematics, the "recreate full-body motion
-//!   via kinematics" extension the paper points to for the future
-//!   Metaverse;
 //! * [`prediction`] — dead-reckoning of remote avatars, the motion
 //!   prediction §8.2 credits for loss tolerance.
 
@@ -30,8 +25,6 @@
 
 pub mod codec;
 pub mod embodiment;
-pub mod gesture;
-pub mod ik;
 pub mod motion;
 pub mod prediction;
 pub mod quant;
@@ -39,7 +32,6 @@ pub mod skeleton;
 
 pub use codec::{decode_update, encode_update, AvatarUpdate};
 pub use embodiment::{Embodiment, Precision};
-pub use gesture::{Expression, Gesture, GestureRecognizer};
 pub use motion::MotionState;
 pub use prediction::DeadReckoner;
 pub use skeleton::{Joint, JointPose, Pose, Vec3};

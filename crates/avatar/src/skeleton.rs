@@ -178,8 +178,8 @@ impl Joint {
     ];
 
     /// Joints actually tracked by hardware (HMD + two controllers); the
-    /// rest must be inferred (see [`crate::ik`]), which is why most
-    /// platforms ship upper-torso-only avatars (§5.2).
+    /// rest must be inferred, which is why most platforms ship
+    /// upper-torso-only avatars (§5.2).
     pub fn hardware_tracked(self) -> bool {
         matches!(self, Joint::Head | Joint::LeftHand | Joint::RightHand)
     }

@@ -6,7 +6,6 @@
 //! — server queueing plus receiver-side rendering load.
 
 use crate::experiments::trial_seed;
-use crate::report::TextTable;
 use crate::stats::Summary;
 use svr_netsim::{SimDuration, SimTime};
 use svr_platform::session::run_session;
@@ -28,13 +27,6 @@ pub struct Fig11Series {
     pub platform: PlatformId,
     /// One point per user count.
     pub points: Vec<Fig11Point>,
-}
-
-/// The full figure.
-#[derive(Debug, Clone)]
-pub struct Fig11Report {
-    /// One series per platform.
-    pub series: Vec<Fig11Series>,
 }
 
 /// Parameters.
@@ -96,35 +88,10 @@ pub fn run(platform: PlatformId, cfg: &Fig11Config) -> Fig11Series {
     Fig11Series { platform, points }
 }
 
-/// Run all five platforms.
-pub fn run_all(cfg: &Fig11Config) -> Fig11Report {
-    Fig11Report { series: PlatformId::ALL.into_iter().map(|p| run(p, cfg)).collect() }
-}
-
 impl Fig11Series {
     /// The per-step latency deltas between consecutive user counts.
     pub fn deltas(&self) -> Vec<f64> {
         self.points.windows(2).map(|w| w[1].e2e_ms.mean - w[0].e2e_ms.mean).collect()
-    }
-}
-
-impl std::fmt::Display for Fig11Report {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "Fig. 11: E2E latency vs users")?;
-        let counts: Vec<String> = self
-            .series
-            .first()
-            .map(|s| s.points.iter().map(|p| format!("{} users", p.users)).collect())
-            .unwrap_or_default();
-        let mut header = vec!["Platform".to_string()];
-        header.extend(counts);
-        let mut t = TextTable::new(header);
-        for s in &self.series {
-            let mut row = vec![s.platform.to_string()];
-            row.extend(s.points.iter().map(|p| format!("{:.1}±{:.1}", p.e2e_ms.mean, p.e2e_ms.ci95)));
-            t.row(row);
-        }
-        write!(f, "{}", t.render())
     }
 }
 

@@ -82,14 +82,6 @@ pub fn run(platform: PlatformId, cfg: Fig2Config) -> Fig2Report {
     }
 }
 
-/// Run for the three platforms the paper plots.
-pub fn run_all(cfg: Fig2Config) -> Vec<Fig2Report> {
-    [PlatformId::VrChat, PlatformId::Hubs, PlatformId::AltspaceVr]
-        .into_iter()
-        .map(|p| run(p, cfg))
-        .collect()
-}
-
 impl Fig2Report {
     /// Mean data-channel downlink before the event (should be ~0).
     pub fn data_down_before_event(&self) -> f64 {

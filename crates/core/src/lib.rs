@@ -10,8 +10,6 @@
 //! * [`analysis`] — the Wireshark-trace analysis: channel classification,
 //!   windowed throughput series, and the §5.2 mute-join differencing that
 //!   isolates avatar traffic;
-//! * [`clocksync`] — §7's ADB-based millisecond clock synchronisation of
-//!   two unsynchronised headsets;
 //! * [`latency`] — end-to-end latency aggregation and the
 //!   sender/server/receiver breakdown of Table 4;
 //! * [`report`] — plain-text table rendering for the reproduced rows;
@@ -22,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod clocksync;
 pub mod experiments;
 pub mod latency;
 pub mod report;

@@ -1,8 +1,8 @@
 //! Plain-text table rendering for the reproduced results.
 //!
 //! Every experiment's report implements `Display` using these helpers so
-//! `reproduce_all` and the other examples print rows shaped like the
-//! paper's tables and figure series.
+//! `reproduce_all` prints rows shaped like the paper's tables and figure
+//! series.
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]
@@ -68,42 +68,11 @@ impl TextTable {
     }
 }
 
-/// Write rows as CSV (quoting cells that contain commas/quotes), for
-/// downstream plotting of the reproduced figures.
-pub fn write_csv<W: std::io::Write>(
-    mut w: W,
-    header: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    let quote = |cell: &str| -> String {
-        if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    };
-    writeln!(w, "{}", header.iter().map(|h| quote(h)).collect::<Vec<_>>().join(","))?;
-    for row in rows {
-        writeln!(w, "{}", row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","))?;
-    }
-    Ok(())
-}
-
 /// Render a `(x, y)` series compactly for figure reproductions.
 pub fn series_line(label: &str, points: &[(f64, f64)]) -> String {
     let body: Vec<String> =
         points.iter().map(|(x, y)| format!("({x:.0}, {y:.2})")).collect();
     format!("{label}: {}", body.join(" "))
-}
-
-/// Format a paper-vs-measured comparison cell.
-pub fn compare(paper: f64, measured: f64) -> String {
-    let err = if paper.abs() > f64::EPSILON {
-        format!("{:+.0}%", (measured - paper) / paper * 100.0)
-    } else {
-        "n/a".to_string()
-    };
-    format!("paper {paper:.1} / ours {measured:.1} ({err})")
 }
 
 #[cfg(test)]
@@ -135,30 +104,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_writes_and_escapes() {
-        let mut buf = Vec::new();
-        write_csv(
-            &mut buf,
-            &["users", "down,kbps", "note"],
-            &[
-                vec!["1".into(), "30.1".into(), "plain".into()],
-                vec!["2".into(), "39.3".into(), "has \"quotes\"".into()],
-            ],
-        )
-        .unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "users,\"down,kbps\",note");
-        assert!(lines[2].contains("\"has \"\"quotes\"\"\""));
-    }
-
-    #[test]
-    fn series_and_compare_format() {
+    fn series_line_format() {
         let s = series_line("FPS", &[(1.0, 72.0), (15.0, 33.4)]);
         assert_eq!(s, "FPS: (1, 72.00) (15, 33.40)");
-        let c = compare(100.0, 110.0);
-        assert!(c.contains("+10%"), "{c}");
-        assert!(compare(0.0, 5.0).contains("n/a"));
     }
 }

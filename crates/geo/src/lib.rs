@@ -21,7 +21,6 @@
 
 pub mod coords;
 pub mod detect;
-pub mod dns;
 pub mod pools;
 pub mod sites;
 pub mod traceroute;
@@ -29,7 +28,6 @@ pub mod whois;
 
 pub use coords::{distance_km, rtt_between, GeoPoint};
 pub use detect::{detect_anycast, AnycastVerdict};
-pub use dns::{resolve, Resolution};
 pub use pools::{Addressing, Assignment, ServerPool};
 pub use sites::{Region, Site, SiteId};
 pub use traceroute::{traceroute, Hop, TraceResult};

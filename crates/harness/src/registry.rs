@@ -14,8 +14,8 @@
 use crate::experiment::{Experiment, RunCtx, UnitResult, WorkUnit};
 use crate::json::{arr, Json};
 use svr_core::experiments::{
-    ablations, disruption, fig11, fig12, fig13, fig2, fig3, fig6, fig7, fig9, table1, table2,
-    table3, table4, takeaways, vantage, viewport,
+    ablations, disruption, fig11, fig12, fig13, fig2, fig3, fig6, fig7, fig8, fig9, table1,
+    table2, table3, table4, takeaways, vantage, viewport,
 };
 use svr_core::Summary;
 use svr_platform::{PlatformConfig, PlatformId};
@@ -428,18 +428,7 @@ fn units_fig8(ctx: &RunCtx) -> Vec<WorkUnit> {
             let cfg = cfg.clone();
             WorkUnit::new(format!("fig8/{}", platform_label(p)), move || {
                 let rep = fig7::run(p, &cfg);
-                let first = rep.points.first().expect("sweep has points");
-                let last = rep.points.last().expect("sweep has points");
-                let display = format!(
-                    "  {:<11} CPU {:>5.1}% → {:>5.1}%   GPU {:>5.1}% → {:>5.1}%   Mem {:>6.0} → {:>6.0} MB\n",
-                    rep.platform.to_string(),
-                    first.cpu.mean,
-                    last.cpu.mean,
-                    first.gpu.mean,
-                    last.gpu.mean,
-                    first.memory_mb.mean,
-                    last.memory_mb.mean,
-                );
+                let (first, last) = fig8::ends(&rep);
                 UnitResult {
                     json: Json::obj()
                         .set("platform", platform_label(rep.platform))
@@ -447,7 +436,7 @@ fn units_fig8(ctx: &RunCtx) -> Vec<WorkUnit> {
                         .set("gpu_growth_pct", last.gpu.mean - first.gpu.mean)
                         .set("memory_growth_mb", last.memory_mb.mean - first.memory_mb.mean)
                         .set("points", scale_points(&rep)),
-                    display,
+                    display: fig8::row(&rep),
                     trials,
                 }
             })

@@ -48,12 +48,10 @@ pub mod netem;
 pub mod network;
 pub mod node;
 pub mod packet;
-pub mod pcap;
 pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod units;
-pub mod wire;
 
 pub use buf::{Bytes, BytesMut};
 pub use capture::{CaptureRecord, CaptureTap, Direction};

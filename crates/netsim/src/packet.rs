@@ -67,22 +67,6 @@ impl TcpFlags {
     pub const SYN_ACK: TcpFlags = TcpFlags { syn: true, ack: true, fin: false, rst: false };
     /// FIN+ACK segment.
     pub const FIN: TcpFlags = TcpFlags { syn: false, ack: true, fin: true, rst: false };
-
-    /// Pack into the low nibble of a byte (FIN=1, SYN=2, RST=4, ACK=16 as
-    /// in the real TCP header bit layout, minus the unused bits).
-    pub fn to_byte(self) -> u8 {
-        (self.fin as u8) | (self.syn as u8) << 1 | (self.rst as u8) << 2 | (self.ack as u8) << 4
-    }
-
-    /// Unpack from [`TcpFlags::to_byte`]'s encoding.
-    pub fn from_byte(b: u8) -> Self {
-        TcpFlags {
-            fin: b & 0x01 != 0,
-            syn: b & 0x02 != 0,
-            rst: b & 0x04 != 0,
-            ack: b & 0x10 != 0,
-        }
-    }
 }
 
 /// Typed transport header attached to every simulated packet.
@@ -262,34 +246,6 @@ mod tests {
             Bytes::new(),
         );
         assert_eq!(t.wire_size().as_bytes(), 34 + 20);
-    }
-
-    #[test]
-    fn tcp_flags_roundtrip() {
-        for fin in [false, true] {
-            for syn in [false, true] {
-                for rst in [false, true] {
-                    for ack in [false, true] {
-                        let f = TcpFlags { fin, syn, rst, ack };
-                        assert_eq!(TcpFlags::from_byte(f.to_byte()), f);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn flag_constants() {
-        // Round-trip through the wire encoding so the assertions exercise
-        // runtime behaviour rather than constants.
-        let syn = TcpFlags::from_byte(TcpFlags::SYN.to_byte());
-        assert!(syn.syn && !syn.ack);
-        let syn_ack = TcpFlags::from_byte(TcpFlags::SYN_ACK.to_byte());
-        assert!(syn_ack.syn && syn_ack.ack);
-        let fin = TcpFlags::from_byte(TcpFlags::FIN.to_byte());
-        assert!(fin.fin && fin.ack);
-        let data = TcpFlags::from_byte(TcpFlags::DATA.to_byte());
-        assert!(data.ack && !data.syn && !data.fin);
     }
 
     #[test]

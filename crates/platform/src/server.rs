@@ -270,6 +270,12 @@ pub struct DataServer {
 impl DataServer {
     /// Build the server for a platform.
     pub fn new(node: NodeId, cfg: &PlatformConfig, seed: u64) -> Self {
+        if let ForwardPolicy::RemoteRender { frame_hz, .. } = cfg.forward_policy {
+            assert!(
+                frame_hz.is_finite() && frame_hz > 0.0,
+                "ForwardPolicy::RemoteRender frame_hz must be finite and positive, got {frame_hz}"
+            );
+        }
         DataServer {
             node,
             policy: cfg.forward_policy,
@@ -910,6 +916,14 @@ mod tests {
         assert!(s.interest_throttled > 0, "no out-of-focus sender was throttled");
         // Every upload reaches each other user as a forward or a throttle.
         assert_eq!(s.forwards + s.interest_throttled, uploads * (n - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "ForwardPolicy::RemoteRender frame_hz must be finite and positive, got 0")]
+    fn zero_frame_rate_is_rejected() {
+        let mut cfg = PlatformConfig::vrchat();
+        cfg.forward_policy = ForwardPolicy::RemoteRender { bitrate: Bitrate::from_mbps(8), frame_hz: 0.0 };
+        DataServer::new(node(9), &cfg, 1);
     }
 
     #[test]

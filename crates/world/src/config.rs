@@ -102,8 +102,18 @@ impl WorldConfig {
         cfg
     }
 
-    /// Clamp degenerate values so every run is well-defined.
+    /// Clamp degenerate counts so every run is well-defined; a server
+    /// delay that is negative or not finite panics, naming the field.
     pub fn validated(mut self) -> WorldConfig {
+        for (field, ms) in [
+            ("server_base_proc_ms", self.server_base_proc_ms),
+            ("server_queue_quad_ms", self.server_queue_quad_ms),
+        ] {
+            assert!(
+                ms.is_finite() && ms >= 0.0,
+                "WorldConfig::{field} must be finite and non-negative, got {ms}"
+            );
+        }
         self.rooms = self.rooms.max(1);
         self.users_per_room = self.users_per_room.max(1);
         self.worlds = self.worlds.clamp(1, self.rooms);
@@ -167,6 +177,22 @@ mod tests {
         assert_eq!(cfg.jobs, 1);
         assert_eq!(cfg.hops_per_room, 0);
         assert_eq!(cfg.transfers_per_room, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "WorldConfig::server_base_proc_ms must be finite and non-negative, got -5")]
+    fn negative_processing_delay_is_rejected() {
+        let mut cfg = WorldConfig::small(1);
+        cfg.server_base_proc_ms = -5.0;
+        cfg.validated();
+    }
+
+    #[test]
+    #[should_panic(expected = "WorldConfig::server_queue_quad_ms must be finite and non-negative, got NaN")]
+    fn nan_queueing_coefficient_is_rejected() {
+        let mut cfg = WorldConfig::small(1);
+        cfg.server_queue_quad_ms = f64::NAN;
+        cfg.validated();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 # workspace has zero external dependencies and must keep building with
 # an empty cargo registry and no network.
 #
-#   scripts/verify.sh          # full gate: build + tests + unit tests + clippy + lint + perfbench (self-tests, pinned digests) + pinned artifacts
+#   scripts/verify.sh          # full gate: build + tests + unit tests + clippy + lint + examples + perfbench (self-tests, pinned digests) + pinned artifacts
 #   scripts/verify.sh --fast   # skip the artifact run
 
 set -euo pipefail
@@ -35,6 +35,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 # LINT.json so a change in waivers shows up in the diff.
 echo "==> lint: svr-lint (static determinism invariants)"
 cargo run --release -q -p svr-lint -- --json LINT.json
+
+# clippy only compiles the examples; run the two kept beside
+# reproduce_all (which the artifact pin runs), so either one exiting
+# non-zero fails the gate.
+echo "==> examples: quickstart and autodriver run"
+cargo build --release -q --example quickstart --example autodriver
+for example in quickstart autodriver; do
+    "./target/release/examples/$example" > /dev/null
+done
 
 # The benchmark package builds against the workspace crates by path but
 # is not a workspace member, so the steps above never compile it.

@@ -23,8 +23,8 @@ fn table2_renders() {
 
 #[test]
 fn fig2_renders() {
-    for rep in fig2::run_all(fig2::Fig2Config::quick()) {
-        non_trivial(rep.to_string());
+    for p in PlatformId::ALL {
+        non_trivial(fig2::run(p, fig2::Fig2Config::quick()).to_string());
     }
 }
 
@@ -59,8 +59,9 @@ fn viewport_renders() {
 #[test]
 fn fig7_and_fig8_render() {
     let cfg = fig7::ScalingConfig { user_counts: vec![1, 3], trials: 1, duration_s: 25, seed: 5 };
-    non_trivial(fig7::run(PlatformId::VrChat, &cfg).to_string());
-    non_trivial(fig8::run(&cfg).to_string());
+    let sweep = fig7::run(PlatformId::VrChat, &cfg);
+    non_trivial(sweep.to_string());
+    assert!(fig8::row(&sweep).contains("VRChat"));
 }
 
 #[test]
@@ -76,8 +77,13 @@ fn table4_renders() {
 
 #[test]
 fn fig11_renders() {
+    // The registry renders one row per series; check what it reads.
     let cfg = fig11::Fig11Config { user_counts: vec![2, 3], actions: 4, trials: 1, seed: 5 };
-    non_trivial(fig11::run_all(&cfg).to_string());
+    for p in PlatformId::ALL {
+        let s = fig11::run(p, &cfg);
+        assert_eq!(s.points.len(), 2, "{p}");
+        assert!(s.points.iter().all(|pt| pt.e2e_ms.n > 0 && pt.e2e_ms.mean > 0.0), "{p}");
+    }
 }
 
 #[test]
