@@ -18,6 +18,10 @@
 //! `flags`: bit 0 = full precision, bit 1 = velocities present. The
 //! 16-bit joint mask selects joints in [`Joint::ALL`] order, so joint ids
 //! never travel on the wire.
+//!
+//! Receivers read only an update's [`Anchor`] with [`read_anchor`];
+//! [`decode_update`] decodes the whole update and is the reference the
+//! tests hold the anchor reader to.
 
 use crate::embodiment::{Embodiment, Precision};
 use crate::quant;
@@ -46,45 +50,55 @@ pub struct AvatarUpdate {
 /// Bytes of one encoded update for an embodiment (codec payload only,
 /// excluding channel/transport headers).
 pub fn update_payload_size(e: &Embodiment) -> usize {
-    let per_joint = match e.precision {
-        Precision::Quantized => 10 + if e.velocities { 6 } else { 0 },
-        Precision::Full => 28 + if e.velocities { 12 } else { 0 },
-    };
-    let per_blend = match e.precision {
-        Precision::Quantized => 1,
-        Precision::Full => 4,
-    };
-    HEADER_LEN + e.joints.len() * per_joint + e.blendshapes * per_blend
+    wire_len(e.precision == Precision::Full, e.velocities, e.joints.len(), e.blendshapes)
 }
 
-/// Same as [`update_payload_size`] — retained as the public name used by
-/// the platform layer when computing wire budgets.
-pub fn update_wire_size(e: &Embodiment) -> usize {
-    update_payload_size(e)
+/// Bytes [`encode_update_into`] writes for `u`.
+pub fn encoded_len(u: &AvatarUpdate) -> usize {
+    wire_len(
+        u.precision == Precision::Full,
+        !u.velocities.is_empty(),
+        u.pose.joints.len(),
+        u.pose.blendshapes.len(),
+    )
 }
 
-fn joint_mask(joints: &[Joint]) -> u16 {
-    let mut mask = 0u16;
-    for j in joints {
-        let idx = Joint::ALL.iter().position(|x| x == j).expect("known joint");
-        mask |= 1 << idx;
-    }
-    mask
+/// Bytes of one joint's record: its pose, then its velocity when the
+/// update carries velocities.
+fn joint_len(full: bool, velocities: bool) -> usize {
+    let (pose, velocity) = if full { (28, 12) } else { (10, 6) };
+    pose + if velocities { velocity } else { 0 }
 }
 
-/// Encode an update. Panics if the pose's joints disagree with the
-/// declared embodiment-style fields (a caller bug).
+/// The layout's size: header, joint records, then one blendshape weight
+/// each (`f32` at full precision, else a byte).
+fn wire_len(full: bool, velocities: bool, joints: usize, blendshapes: usize) -> usize {
+    HEADER_LEN + joints * joint_len(full, velocities) + blendshapes * if full { 4 } else { 1 }
+}
+
+/// Encode an update into a buffer sized from it: two allocations, the
+/// bytes and the shared storage [`BytesMut::freeze`] moves them into.
+/// Panics as [`encode_update_into`] does.
 pub fn encode_update(u: &AvatarUpdate) -> Bytes {
+    let mut buf = BytesMut::with_capacity(encoded_len(u));
+    encode_update_into(u, &mut buf);
+    buf.freeze()
+}
+
+/// Append the [`encoded_len`] bytes of `u` to `buf`; a caller that sizes
+/// `buf` first writes the update without growing it. Panics if the pose's
+/// joints disagree with the declared embodiment-style fields (a caller
+/// bug).
+pub fn encode_update_into(u: &AvatarUpdate, buf: &mut BytesMut) {
     let velocities = !u.velocities.is_empty();
     if velocities {
         assert_eq!(u.velocities.len(), u.pose.joints.len(), "velocity per joint");
     }
     let full = u.precision == Precision::Full;
-    let mut buf = BytesMut::new();
     buf.put_u32(u.avatar_id);
     buf.put_u32(u.tick);
     buf.put_u8((full as u8) | (velocities as u8) << 1);
-    buf.put_u16(joint_mask(&u.pose.joints.iter().map(|(j, _)| *j).collect::<Vec<_>>()));
+    buf.put_u16(u.pose.joints.iter().fold(0, |mask, (j, _)| mask | 1 << j.index()));
     buf.put_u8(u.pose.blendshapes.len() as u8);
 
     for (i, (_, jp)) in u.pose.joints.iter().enumerate() {
@@ -123,7 +137,6 @@ pub fn encode_update(u: &AvatarUpdate) -> Bytes {
             buf.put_u8(quant::quantize_weight(*w));
         }
     }
-    buf.freeze()
 }
 
 /// Decoding errors.
@@ -173,9 +186,33 @@ impl<'a> Reader<'a> {
     fn f32(&mut self) -> Result<f32, CodecError> {
         Ok(f32::from_bits(self.u32()?))
     }
+    fn joint_pose(&mut self, full: bool) -> Result<JointPose, CodecError> {
+        Ok(if full {
+            let position = Vec3::new(self.f32()?, self.f32()?, self.f32()?);
+            let rotation = Quat { x: self.f32()?, y: self.f32()?, z: self.f32()?, w: self.f32()? };
+            JointPose { position, rotation }
+        } else {
+            let position = quant::dequantize_pos([self.u16()?, self.u16()?, self.u16()?]);
+            JointPose { position, rotation: quant::dequantize_quat(self.u32()?) }
+        })
+    }
+    fn velocity(&mut self, full: bool) -> Result<Vec3, CodecError> {
+        Ok(if full {
+            Vec3::new(self.f32()?, self.f32()?, self.f32()?)
+        } else {
+            Vec3::new(
+                self.i16()? as f32 / 1000.0,
+                self.i16()? as f32 / 1000.0,
+                self.i16()? as f32 / 1000.0,
+            )
+        })
+    }
 }
 
-/// Decode an update.
+/// The joint-mask bits that name a joint; decoders ignore the rest.
+const JOINT_BITS: u16 = (1 << Joint::ALL.len()) - 1;
+
+/// Decode a whole update.
 pub fn decode_update(data: &[u8]) -> Result<AvatarUpdate, CodecError> {
     let mut r = Reader { data, pos: 0 };
     let avatar_id = r.u32()?;
@@ -188,31 +225,13 @@ pub fn decode_update(data: &[u8]) -> Result<AvatarUpdate, CodecError> {
 
     let mut joints = Vec::new();
     let mut velocities = Vec::new();
-    for (idx, joint) in Joint::ALL.iter().enumerate() {
-        if mask & (1 << idx) == 0 {
+    for joint in Joint::ALL {
+        if mask & (1 << joint.index()) == 0 {
             continue;
         }
-        let (position, rotation) = if full {
-            let p = Vec3::new(r.f32()?, r.f32()?, r.f32()?);
-            let q = Quat { x: r.f32()?, y: r.f32()?, z: r.f32()?, w: r.f32()? };
-            (p, q)
-        } else {
-            let p = quant::dequantize_pos([r.u16()?, r.u16()?, r.u16()?]);
-            let q = quant::dequantize_quat(r.u32()?);
-            (p, q)
-        };
-        joints.push((*joint, JointPose { position, rotation }));
+        joints.push((joint, r.joint_pose(full)?));
         if has_vel {
-            let v = if full {
-                Vec3::new(r.f32()?, r.f32()?, r.f32()?)
-            } else {
-                Vec3::new(
-                    r.i16()? as f32 / 1000.0,
-                    r.i16()? as f32 / 1000.0,
-                    r.i16()? as f32 / 1000.0,
-                )
-            };
-            velocities.push(v);
+            velocities.push(r.velocity(full)?);
         }
     }
     let mut blendshapes = Vec::with_capacity(n_blend);
@@ -227,6 +246,60 @@ pub fn decode_update(data: &[u8]) -> Result<AvatarUpdate, CodecError> {
         velocities,
         precision: if full { Precision::Full } else { Precision::Quantized },
     })
+}
+
+/// What a receiver reads from an update: who sent it, the sender's tick
+/// and the anchor joint, the root else the head. The data server places
+/// the sender by it; a client's dead reckoner extrapolates it (§8.2).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Anchor {
+    /// Sender's avatar id.
+    pub avatar_id: u32,
+    /// Sender tick counter.
+    pub tick: u32,
+    /// The root joint's pose, else the head's; `None` when the update
+    /// carries neither.
+    pub joint: Option<JointPose>,
+    /// That joint's velocity; `None` when the update carries no
+    /// velocities or no anchor joint.
+    pub velocity: Option<Vec3>,
+}
+
+impl Anchor {
+    /// The anchor joint's position, else the origin: what
+    /// [`Pose::root_position`] gives for the decoded pose.
+    pub fn position(&self) -> Vec3 {
+        self.joint.map_or(Vec3::ZERO, |j| j.position)
+    }
+}
+
+/// Read an update's [`Anchor`] without decoding the rest of it. Checks
+/// the length the header declares, so it fails exactly when
+/// [`decode_update`] fails; both ignore bytes past that length (a
+/// platform's envelope).
+pub fn read_anchor(data: &[u8]) -> Result<Anchor, CodecError> {
+    let mut r = Reader { data, pos: 0 };
+    let avatar_id = r.u32()?;
+    let tick = r.u32()?;
+    let flags = r.u8()?;
+    let mask = r.u16()? & JOINT_BITS;
+    let n_blend = r.u8()? as usize;
+    let full = flags & 1 != 0;
+    let has_vel = flags & 2 != 0;
+    if data.len() < wire_len(full, has_vel, mask.count_ones() as usize, n_blend) {
+        return Err(CodecError::Truncated);
+    }
+    let mut anchor = Anchor { avatar_id, tick, joint: None, velocity: None };
+    if let Some(j) = [Joint::Root, Joint::Head].into_iter().find(|j| mask & 1 << j.index() != 0) {
+        // Skip the records of the joints before the anchor in wire order.
+        let before = (mask & ((1 << j.index()) - 1)).count_ones() as usize;
+        r.pos = HEADER_LEN + before * joint_len(full, has_vel);
+        anchor.joint = Some(r.joint_pose(full)?);
+        if has_vel {
+            anchor.velocity = Some(r.velocity(full)?);
+        }
+    }
+    Ok(anchor)
 }
 
 /// Build an update for a pose under an embodiment profile.
@@ -248,7 +321,8 @@ mod tests {
     use super::*;
 
     fn sample_pose(e: &Embodiment) -> Pose {
-        let mut pose = Pose::rest(&e.joints, e.blendshapes);
+        let mut pose = Pose::default();
+        pose.reset(&e.joints, e.blendshapes);
         for (i, (_, jp)) in pose.joints.iter_mut().enumerate() {
             jp.position = Vec3::new(i as f32 * 0.3 - 2.0, 1.2 + i as f32 * 0.05, 0.5);
             jp.rotation = Quat::from_yaw(i as f32 * 0.4);
@@ -259,8 +333,9 @@ mod tests {
         pose
     }
 
-    #[test]
-    fn encoded_size_matches_prediction_for_all_profiles() {
+    /// Every platform profile, each with and without velocities.
+    fn profiles() -> Vec<Embodiment> {
+        let mut out = Vec::new();
         for e in [
             Embodiment::upper_torso_no_face(),
             Embodiment::upper_torso_hands_no_face(),
@@ -269,10 +344,118 @@ mod tests {
             Embodiment::human_like(),
             Embodiment::photorealistic(),
         ] {
+            let flipped = Embodiment { velocities: !e.velocities, ..e.clone() };
+            out.extend([e, flipped]);
+        }
+        out
+    }
+
+    /// Velocities unlike each other and unlike any position.
+    fn sample_velocities(n: usize) -> Vec<Vec3> {
+        (0..n)
+            .map(|i| i as f32)
+            .map(|i| Vec3::new(0.1 * i + 0.05, -0.2 - 0.01 * i, 0.07 * i))
+            .collect()
+    }
+
+    #[test]
+    fn encoded_size_matches_prediction_for_all_profiles() {
+        for e in profiles() {
             let u = make_update(1, 0, &e, sample_pose(&e), Vec::new());
             let bytes = encode_update(&u);
             assert_eq!(bytes.len(), update_payload_size(&e), "profile {}", e.name);
+            assert_eq!(encoded_len(&u), bytes.len(), "profile {}", e.name);
+            let mut buf = BytesMut::new();
+            buf.put_slice(b"env");
+            encode_update_into(&u, &mut buf);
+            assert_eq!(&buf[..3], b"env", "appends after what the buffer holds");
+            assert_eq!(&buf[3..], bytes.as_slice());
         }
+    }
+
+    fn pose_bits(p: JointPose) -> [u32; 7] {
+        let (v, q) = (p.position, p.rotation);
+        [v.x, v.y, v.z, q.x, q.y, q.z, q.w].map(f32::to_bits)
+    }
+
+    fn vec_bits(v: Vec3) -> [u32; 3] {
+        [v.x, v.y, v.z].map(f32::to_bits)
+    }
+
+    /// `read_anchor` fails exactly when `decode_update` does, and
+    /// otherwise returns the decoded id, tick, root-else-head joint and
+    /// that joint's velocity, bit for bit. Returns whether `data` read.
+    fn anchor_agrees_with_decode(data: &[u8]) -> bool {
+        let (anchor, update) = match (read_anchor(data), decode_update(data)) {
+            (Ok(a), Ok(u)) => (a, u),
+            (Err(a), Err(u)) => {
+                assert_eq!(a, u);
+                return false;
+            }
+            (a, u) => panic!("read_anchor {a:?} but decode_update {u:?} on {data:?}"),
+        };
+        assert_eq!((anchor.avatar_id, anchor.tick), (update.avatar_id, update.tick));
+        let find = |joint| update.pose.joints.iter().position(|(j, _)| *j == joint);
+        let at = find(Joint::Root).or_else(|| find(Joint::Head));
+        let joint = at.map(|i| update.pose.joints[i].1);
+        assert_eq!(anchor.joint.map(pose_bits), joint.map(pose_bits), "{data:?}");
+        let velocity = at.and_then(|i| update.velocities.get(i).copied());
+        assert_eq!(anchor.velocity.map(vec_bits), velocity.map(vec_bits), "{data:?}");
+        assert_eq!(vec_bits(anchor.position()), vec_bits(update.pose.root_position()));
+        true
+    }
+
+    #[test]
+    fn anchor_reader_agrees_with_decode_on_every_prefix() {
+        let mut read = 0;
+        for e in profiles() {
+            let pose = sample_pose(&e);
+            let without = |drop: &[Joint]| Pose {
+                joints: pose.joints.iter().filter(|(j, _)| !drop.contains(j)).copied().collect(),
+                blendshapes: pose.blendshapes.clone(),
+            };
+            // Root and head; the root only; the head only; neither.
+            for pose in [
+                pose.clone(),
+                without(&[Joint::Head]),
+                without(&[Joint::Root]),
+                without(&[Joint::Root, Joint::Head]),
+            ] {
+                let vel = sample_velocities(pose.joints.len());
+                let wire = encode_update(&make_update(0xA1B2_C3D4, 77, &e, pose, vel)).to_vec();
+                for cut in 0..=wire.len() {
+                    let whole = cut == wire.len();
+                    assert_eq!(anchor_agrees_with_decode(&wire[..cut]), whole, "{} cut {cut}", e.name);
+                }
+                // A platform envelope after the update is ignored.
+                for envelope in [vec![0; 50], vec![0xFF; 7]] {
+                    let mut with = wire.clone();
+                    with.extend(envelope);
+                    assert!(anchor_agrees_with_decode(&with), "{}", e.name);
+                }
+                read += 1;
+            }
+        }
+        assert_eq!(read, 48);
+    }
+
+    #[test]
+    fn anchor_reader_agrees_with_decode_on_garbage_seeded() {
+        let mut rng = svr_netsim::SimRng::seed_from_u64(0xC0DE_0003);
+        let mut read = 0;
+        for case in 0..2_048 {
+            let len = rng.range_u64(0, 600) as usize;
+            let mut data: Vec<u8> = (0..len).map(|_| rng.range_u64(0, 255) as u8).collect();
+            // Half the cases declare few joints and weights, so that
+            // some garbage reads whole.
+            if case % 2 == 0 && len >= HEADER_LEN {
+                data[9] &= 0x80; // keeps the bit past the last joint
+                data[10] &= rng.range_u64(0, 255) as u8 & 0x1F;
+                data[11] %= 8;
+            }
+            read += anchor_agrees_with_decode(&data) as usize;
+        }
+        assert!(read > 200, "{read} garbage strings read whole");
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl Embodiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::update_wire_size;
+    use crate::codec::update_payload_size;
 
     #[test]
     fn profiles_match_figure_4_features() {
@@ -176,9 +176,9 @@ mod tests {
         // Per-update byte cost must rank the platforms the way Table 3's
         // avatar throughput does (given their tick rates, see
         // svr-platform).
-        let alts = update_wire_size(&Embodiment::upper_torso_no_face());
-        let vrchat = update_wire_size(&Embodiment::full_body_cartoon());
-        let worlds = update_wire_size(&Embodiment::human_like());
+        let alts = update_payload_size(&Embodiment::upper_torso_no_face());
+        let vrchat = update_payload_size(&Embodiment::full_body_cartoon());
+        let worlds = update_payload_size(&Embodiment::human_like());
         assert!(alts < vrchat, "{alts} < {vrchat}");
         assert!(vrchat < worlds, "{vrchat} < {worlds}");
         // Worlds' update is several times the others'.

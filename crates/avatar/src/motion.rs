@@ -112,6 +112,26 @@ impl MotionState {
     /// Advance the motion by `dt_s` seconds and synthesise the pose for
     /// the given embodiment. Returns the pose and per-joint velocities.
     pub fn step(&mut self, dt_s: f64, e: &Embodiment) -> (Pose, Vec<Vec3>) {
+        let mut pose = Pose {
+            joints: Vec::with_capacity(e.joints.len()),
+            blendshapes: Vec::with_capacity(e.blendshapes),
+        };
+        let mut velocities = Vec::with_capacity(e.joints.len());
+        self.step_into(dt_s, e, &mut pose, &mut velocities);
+        (pose, velocities)
+    }
+
+    /// [`MotionState::step`] into caller-owned buffers: overwrites `pose`
+    /// and `velocities` with what `step` would return, reusing their
+    /// storage, so a caller that keeps them between ticks allocates
+    /// nothing once they have grown.
+    pub fn step_into(
+        &mut self,
+        dt_s: f64,
+        e: &Embodiment,
+        pose: &mut Pose,
+        velocities: &mut Vec<Vec3>,
+    ) {
         let dt = dt_s as f32;
         self.phase += dt * 2.0 * std::f32::consts::PI * 0.9; // ~0.9 Hz gait/sway
 
@@ -158,7 +178,7 @@ impl MotionState {
             (self.phase * 0.5).sin() * 0.05
         };
 
-        let mut pose = Pose::rest(&e.joints, e.blendshapes);
+        pose.reset(&e.joints, e.blendshapes);
         let base = self.position;
         for (joint, jp) in pose.joints.iter_mut() {
             let local = match joint {
@@ -183,7 +203,7 @@ impl MotionState {
         }
 
         // Velocities from the previous step's positions.
-        let mut velocities = Vec::with_capacity(pose.joints.len());
+        velocities.clear();
         for (joint, jp) in &pose.joints {
             let prev = self
                 .last_positions
@@ -194,9 +214,8 @@ impl MotionState {
             let v = if dt > 0.0 { (jp.position - prev) * (1.0 / dt) } else { Vec3::ZERO };
             velocities.push(v);
         }
-        self.last_positions = pose.joints.iter().map(|(j, p)| (*j, p.position)).collect();
-
-        (pose, velocities)
+        self.last_positions.clear();
+        self.last_positions.extend(pose.joints.iter().map(|(j, p)| (*j, p.position)));
     }
 }
 
@@ -335,6 +354,47 @@ mod tests {
         for _ in 0..3000 {
             m.step(0.05, &emb());
             assert!(m.position.x.abs() <= 2.1 && m.position.z.abs() <= 2.1);
+        }
+    }
+
+    /// Every float of a step's output as bits, with the joint ids.
+    fn bits(pose: &Pose, vel: &[Vec3]) -> Vec<u32> {
+        let mut out = Vec::new();
+        for (j, jp) in &pose.joints {
+            let (p, q) = (jp.position, jp.rotation);
+            out.push(j.index() as u32);
+            out.extend([p.x, p.y, p.z, q.x, q.y, q.z, q.w].map(f32::to_bits));
+        }
+        out.push(u32::MAX);
+        out.extend(pose.blendshapes.iter().map(|w| w.to_bits()));
+        out.push(u32::MAX);
+        out.extend(vel.iter().flat_map(|v| [v.x, v.y, v.z]).map(f32::to_bits));
+        out
+    }
+
+    #[test]
+    fn step_into_reused_buffers_matches_fresh_step() {
+        // The embodiment changes between ticks, so a buffer that kept
+        // the last tick's joints or weights would show.
+        let profiles = [
+            Embodiment::photorealistic(),
+            Embodiment::upper_torso_no_face(),
+            Embodiment::human_like(),
+            Embodiment::full_body_cartoon(),
+            Embodiment::upper_torso_simple_face(),
+        ];
+        let mut fresh = MotionState::new(11, Vec3::new(1.0, 0.0, 2.0), 45.0);
+        let mut reused = MotionState::new(11, Vec3::new(1.0, 0.0, 2.0), 45.0);
+        fresh.wander();
+        reused.wander();
+        let mut pose = Pose::default();
+        let mut vel = Vec::new();
+        for k in 0..300 {
+            let e = &profiles[k % 7 % profiles.len()];
+            let dt = if k % 13 == 0 { 0.0 } else { 0.05 };
+            let (p, v) = fresh.step(dt, e);
+            reused.step_into(dt, e, &mut pose, &mut vel);
+            assert_eq!(bits(&pose, &vel), bits(&p, &v), "tick {k}, {}", e.name);
         }
     }
 

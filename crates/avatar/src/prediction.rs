@@ -4,21 +4,22 @@
 //! speculates that "these platforms may compensate for the missing
 //! movement data of avatars through methods such as motion prediction."
 //! This module is that mechanism: between updates, a remote avatar is
-//! extrapolated along its last known velocities; when the next update
+//! extrapolated along its last known velocity; when the next update
 //! arrives, the prediction error tells us how visible the gap would have
-//! been.
+//! been. The error is measured at the anchor joint (root, else head), so
+//! a reckoner keeps only the last anchor, not the last pose.
 
-use crate::codec::AvatarUpdate;
-use crate::skeleton::{Joint, JointPose, Pose};
+use crate::codec::Anchor;
+use crate::skeleton::Vec3;
 use svr_netsim::{SimDuration, SimTime};
 
-/// Tracks one remote avatar and predicts its pose between updates.
+/// Tracks one remote avatar and predicts its anchor between updates.
 #[derive(Debug)]
 pub struct DeadReckoner {
-    /// Last received update.
-    last: Option<(SimTime, AvatarUpdate)>,
+    /// Last update: arrival time, anchor position and anchor velocity.
+    last: Option<(SimTime, Vec3, Option<Vec3>)>,
     /// Prediction errors measured at each update arrival (metres,
-    /// root-position error of the extrapolation vs the truth).
+    /// anchor-position error of the extrapolation vs the truth).
     pub errors_m: Vec<f32>,
     /// Cap on extrapolation: beyond this the avatar freezes instead of
     /// drifting off (standard practice).
@@ -41,30 +42,26 @@ impl DeadReckoner {
         Self::default()
     }
 
-    /// Predicted pose at `now`, extrapolated from the last update.
-    pub fn predict(&self, now: SimTime) -> Option<Pose> {
-        let (at, update) = self.last.as_ref()?;
-        let dt = now.saturating_since(*at).min(self.max_extrapolation).as_secs_f64() as f32;
-        let mut pose = update.pose.clone();
-        if !update.velocities.is_empty() {
-            for (i, (_, jp)) in pose.joints.iter_mut().enumerate() {
-                if let Some(v) = update.velocities.get(i) {
-                    jp.position = jp.position + *v * dt;
-                }
-            }
-        }
-        Some(pose)
+    /// Predicted anchor position at `now`: the last anchor moved along
+    /// its velocity, if it came with one, for the time since it arrived,
+    /// capped at `max_extrapolation`.
+    pub fn predict(&self, now: SimTime) -> Option<Vec3> {
+        let (at, position, velocity) = self.last?;
+        let dt = now.saturating_since(at).min(self.max_extrapolation).as_secs_f64() as f32;
+        Some(match velocity {
+            Some(v) => position + v * dt,
+            None => position,
+        })
     }
 
-    /// Ingest a new update, recording how far the prediction had drifted
-    /// from the now-known truth.
-    pub fn observe(&mut self, now: SimTime, update: AvatarUpdate) {
+    /// Ingest a new update's anchor, recording how far the prediction had
+    /// drifted from the now-known truth.
+    pub fn observe(&mut self, now: SimTime, anchor: Anchor) {
+        let truth = anchor.position();
         if let Some(predicted) = self.predict(now) {
-            let truth = update.pose.root_position();
-            let pred = predicted.root_position();
-            self.errors_m.push(truth.distance(pred));
+            self.errors_m.push(truth.distance(predicted));
         }
-        self.last = Some((now, update));
+        self.last = Some((now, truth, anchor.velocity));
     }
 
     /// Mean prediction error so far, metres.
@@ -89,16 +86,10 @@ impl DeadReckoner {
     /// avatar appears frozen).
     pub fn is_stale(&self, now: SimTime) -> bool {
         match &self.last {
-            Some((at, _)) => now.saturating_since(*at) > self.max_extrapolation,
+            Some((at, _, _)) => now.saturating_since(*at) > self.max_extrapolation,
             None => true,
         }
     }
-}
-
-/// Convenience: the root pose of a prediction (for render placement).
-pub fn predicted_root(reckoner: &DeadReckoner, now: SimTime) -> Option<JointPose> {
-    let pose = reckoner.predict(now)?;
-    pose.joint(Joint::Root).or_else(|| pose.joint(Joint::Head)).copied()
 }
 
 /// Perceptibility heuristic: a positional pop under ~12 cm between
@@ -109,10 +100,16 @@ pub const PERCEPTIBLE_POP_M: f32 = 0.12;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::make_update;
+    use crate::codec::{decode_update, encode_update, make_update, read_anchor, AvatarUpdate};
     use crate::embodiment::Embodiment;
     use crate::motion::MotionState;
-    use crate::skeleton::Vec3;
+    use crate::skeleton::{Joint, Pose};
+    use svr_netsim::SimRng;
+
+    /// The anchor a receiver reads from `u` once it is on the wire.
+    fn anchor(u: &AvatarUpdate) -> Anchor {
+        read_anchor(&encode_update(u)).expect("a whole update reads")
+    }
 
     fn walking_updates(
         hz: f64,
@@ -134,7 +131,7 @@ mod tests {
                 dropped += 1;
                 continue;
             }
-            r.observe(now, update);
+            r.observe(now, anchor(&update));
         }
         (r, dropped)
     }
@@ -171,15 +168,17 @@ mod tests {
         let e = Embodiment::upper_torso_simple_face();
         let mut m = MotionState::new(1, Vec3::ZERO, 0.0);
         m.walk_to(Vec3::new(50.0, 0.0, 0.0));
+        m.step(0.1, &e); // the first step has no velocity yet
         let (pose, vel) = m.step(0.1, &e);
         let mut r = DeadReckoner::new();
-        r.observe(SimTime::ZERO, make_update(1, 0, &e, pose, vel));
-        let near = r.predict(SimTime::from_millis(400)).unwrap().root_position();
-        let far = r.predict(SimTime::from_secs(30)).unwrap().root_position();
+        r.observe(SimTime::ZERO, anchor(&make_update(1, 0, &e, pose, vel)));
+        let near = r.predict(SimTime::from_millis(400)).unwrap();
+        let far = r.predict(SimTime::from_secs(30)).unwrap();
         // Beyond the cap the avatar freezes rather than walking to infinity.
-        let capped = r.predict(SimTime::from_millis(500)).unwrap().root_position();
+        let capped = r.predict(SimTime::from_millis(500)).unwrap();
         assert!(far.distance(capped) < 1e-5, "frozen after cap");
         assert!(near.distance(capped) < 0.2);
+        assert!(near.distance(capped) > 0.05, "moving until the cap");
         assert!(r.is_stale(SimTime::from_secs(30)));
         assert!(!r.is_stale(SimTime::from_millis(100)));
     }
@@ -191,7 +190,6 @@ mod tests {
         assert_eq!(r.mean_error_m(), 0.0);
         assert_eq!(r.p95_error_m(), 0.0);
         assert!(r.is_stale(SimTime::ZERO));
-        assert!(predicted_root(&r, SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -199,11 +197,113 @@ mod tests {
         let e = Embodiment::upper_torso_no_face(); // no velocities
         let mut m = MotionState::new(1, Vec3::ZERO, 0.0);
         m.walk_to(Vec3::new(10.0, 0.0, 0.0));
-        let (pose, _) = m.step(0.1, &e);
-        let root = pose.root_position();
+        m.step(0.1, &e);
+        // Moving, but the profile sends no velocities.
+        let (pose, vel) = m.step(0.1, &e);
+        let held = anchor(&make_update(1, 0, &e, pose, vel));
+        assert_eq!(held.velocity, None);
         let mut r = DeadReckoner::new();
-        r.observe(SimTime::ZERO, make_update(1, 0, &e, pose, Vec::new()));
-        let pred = r.predict(SimTime::from_millis(300)).unwrap().root_position();
-        assert!(pred.distance(root) < 1e-6, "no velocity → hold position");
+        r.observe(SimTime::ZERO, held);
+        let pred = r.predict(SimTime::from_millis(300));
+        assert_eq!(pred, Some(held.position()), "no velocity → hold position");
+    }
+
+    /// The reckoner as it was when it kept whole updates: extrapolate
+    /// every joint of a clone of the last pose, then measure at the
+    /// root, else the head. The anchor-only reckoner must match it bit
+    /// for bit.
+    struct PoseReckoner {
+        last: Option<(SimTime, AvatarUpdate)>,
+        errors_m: Vec<f32>,
+        max_extrapolation: SimDuration,
+    }
+
+    impl PoseReckoner {
+        fn observe(&mut self, now: SimTime, update: AvatarUpdate) {
+            if let Some((at, last)) = &self.last {
+                let dt =
+                    now.saturating_since(*at).min(self.max_extrapolation).as_secs_f64() as f32;
+                let mut pose = last.pose.clone();
+                if !last.velocities.is_empty() {
+                    for (i, (_, jp)) in pose.joints.iter_mut().enumerate() {
+                        if let Some(v) = last.velocities.get(i) {
+                            jp.position = jp.position + *v * dt;
+                        }
+                    }
+                }
+                self.errors_m.push(update.pose.root_position().distance(pose.root_position()));
+            }
+            self.last = Some((now, update));
+        }
+    }
+
+    /// Keep each joint with probability 1/2, so a stream's masks hold
+    /// the root only, the head only, both or neither.
+    fn thin(pose: Pose, vel: Vec<Vec3>, rng: &mut SimRng) -> (Pose, Vec<Vec3>) {
+        let (mut joints, mut vels) = (Vec::new(), Vec::new());
+        for (i, jv) in pose.joints.into_iter().enumerate() {
+            if rng.chance(0.5) {
+                joints.push(jv);
+                vels.extend(vel.get(i).copied());
+            }
+        }
+        (Pose { joints, blendshapes: pose.blendshapes }, vels)
+    }
+
+    #[test]
+    fn anchor_reckoner_matches_whole_pose_reference_bit_for_bit() {
+        let head_only = Embodiment {
+            joints: vec![Joint::Torso, Joint::Head, Joint::LeftHand],
+            ..Embodiment::human_like()
+        };
+        let mut rng = SimRng::seed_from_u64(0xDEAD_0001);
+        let mut compared = 0;
+        for e in [
+            Embodiment::upper_torso_no_face(),
+            Embodiment::upper_torso_hands_no_face(),
+            Embodiment::upper_torso_simple_face(),
+            Embodiment::full_body_cartoon(),
+            Embodiment::human_like(),
+            Embodiment::photorealistic(),
+            head_only,
+        ] {
+            for (walking, thinned) in [(true, false), (false, false), (true, true)] {
+                let mut m = MotionState::new(rng.next_u64(), Vec3::new(1.0, 0.0, -2.0), 30.0);
+                if walking {
+                    m.wander();
+                }
+                let mut new = DeadReckoner::new();
+                let mut old = PoseReckoner {
+                    last: None,
+                    errors_m: Vec::new(),
+                    max_extrapolation: new.max_extrapolation,
+                };
+                let mut now = SimTime::ZERO;
+                for k in 0..400u32 {
+                    // Mostly 50 ms apart; some updates share an arrival
+                    // time (zero dt), some arrive past the cap.
+                    let gap_ms = match rng.range_u64(0, 20) {
+                        0 => 0,
+                        1 => rng.range_u64(501, 3_000),
+                        _ => rng.range_u64(20, 80),
+                    };
+                    now += SimDuration::from_millis(gap_ms);
+                    let (pose, vel) = m.step(gap_ms as f64 / 1000.0, &e);
+                    let (pose, vel) = if thinned { thin(pose, vel, &mut rng) } else { (pose, vel) };
+                    if rng.range_u64(0, 5) == 0 {
+                        continue; // dropped in the network
+                    }
+                    let wire = encode_update(&make_update(7, k, &e, pose, vel));
+                    new.observe(now, read_anchor(&wire).unwrap());
+                    old.observe(now, decode_update(&wire).unwrap());
+                }
+                assert!(new.errors_m.len() > 250, "{}: {}", e.name, new.errors_m.len());
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let case = format!("{} walking={walking} thinned={thinned}", e.name);
+                assert_eq!(bits(&new.errors_m), bits(&old.errors_m), "{case}");
+                compared += new.errors_m.len();
+            }
+        }
+        assert!(compared > 5_000);
     }
 }

@@ -177,6 +177,12 @@ impl Joint {
         Joint::RightFoot,
     ];
 
+    /// Position in [`Joint::ALL`]: the joint's bit in the codec's joint
+    /// mask.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Joints actually tracked by hardware (HMD + two controllers); the
     /// rest must be inferred, which is why most platforms ship
     /// upper-torso-only avatars (§5.2).
@@ -202,7 +208,7 @@ impl Default for JointPose {
 
 /// A full avatar pose: positions for a subset of joints plus facial
 /// blendshape weights.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Pose {
     /// `(joint, pose)` pairs in canonical joint order.
     pub joints: Vec<(Joint, JointPose)>,
@@ -211,12 +217,14 @@ pub struct Pose {
 }
 
 impl Pose {
-    /// A rest pose for the given joints.
-    pub fn rest(joints: &[Joint], blendshapes: usize) -> Pose {
-        let mut js: Vec<(Joint, JointPose)> =
-            joints.iter().map(|j| (*j, JointPose::default())).collect();
-        js.sort_by_key(|(j, _)| *j);
-        Pose { joints: js, blendshapes: vec![0.0; blendshapes] }
+    /// Become the rest pose for the given joints, in canonical order,
+    /// reusing this pose's storage.
+    pub fn reset(&mut self, joints: &[Joint], blendshapes: usize) {
+        self.joints.clear();
+        self.joints.extend(joints.iter().map(|j| (*j, JointPose::default())));
+        self.joints.sort_unstable_by_key(|(j, _)| *j);
+        self.blendshapes.clear();
+        self.blendshapes.resize(blendshapes, 0.0);
     }
 
     /// Pose of a specific joint, if present.
@@ -271,6 +279,9 @@ mod tests {
         let mut sorted = Joint::ALL.to_vec();
         sorted.sort();
         assert_eq!(sorted, Joint::ALL.to_vec());
+        for (i, j) in Joint::ALL.iter().enumerate() {
+            assert_eq!(j.index(), i, "{j:?}");
+        }
     }
 
     #[test]
@@ -285,7 +296,8 @@ mod tests {
 
     #[test]
     fn pose_lookup_and_rest() {
-        let pose = Pose::rest(&[Joint::Head, Joint::Root, Joint::LeftHand], 4);
+        let mut pose = Pose::default();
+        pose.reset(&[Joint::Head, Joint::Root, Joint::LeftHand], 4);
         assert_eq!(pose.joints.len(), 3);
         assert_eq!(pose.blendshapes.len(), 4);
         assert!(pose.joint(Joint::Head).is_some());
@@ -293,11 +305,17 @@ mod tests {
         // Rest sorts into canonical order regardless of input order.
         assert_eq!(pose.joints[0].0, Joint::Root);
         assert_eq!(pose.root_position(), Vec3::ZERO);
+        // A reset drops what the pose held before.
+        pose.blendshapes[0] = 0.7;
+        pose.reset(&[Joint::Head], 2);
+        assert_eq!(pose.joints.len(), 1);
+        assert_eq!(pose.blendshapes, [0.0, 0.0]);
     }
 
     #[test]
     fn root_position_falls_back_to_head() {
-        let mut pose = Pose::rest(&[Joint::Head], 0);
+        let mut pose = Pose::default();
+        pose.reset(&[Joint::Head], 0);
         pose.joint_mut(Joint::Head).unwrap().position = Vec3::new(1.0, 1.7, 2.0);
         assert_eq!(pose.root_position(), Vec3::new(1.0, 1.7, 2.0));
     }

@@ -6,8 +6,10 @@
 //! per-second series (control/data × up/down). The expected shape: the
 //! control channel is busy on the welcome page and (for AltspaceVR-like
 //! platforms) spikes periodically afterwards; the data channel is silent
-//! until the event starts. The >100 Mbps Hubs initial download is
-//! reported separately, as the paper excludes it from the plot.
+//! until the event starts. The Hubs initial download, which the paper
+//! leaves out of its plot at >100 Mbps, stays in the control-downlink
+//! series here: it crosses the 71 ms west-coast path at 12–15 Mbps over
+//! the first 20 s.
 
 use crate::analysis::{channel_records, RateSeries};
 use svr_netsim::capture::Direction;

@@ -11,11 +11,11 @@ use crate::config::{DataTransport, PlatformConfig};
 use crate::game::GameClient;
 use crate::server::{stream_frame, DATA_SERVER_PORT};
 use crate::stream::{StreamChannel, StreamEvent};
-use svr_netsim::buf::Bytes;
+use svr_netsim::buf::{Bytes, BytesMut};
 use std::collections::VecDeque;
-use svr_avatar::codec::{decode_update, encode_update, make_update};
+use svr_avatar::codec::{encode_update_into, encoded_len, read_anchor, AvatarUpdate};
 use svr_avatar::motion::MotionState;
-use svr_avatar::skeleton::Vec3;
+use svr_avatar::skeleton::{Joint, Pose, Vec3};
 use svr_netsim::packet::zero_payload;
 use svr_netsim::{NodeId, Packet, SimDuration, SimRng, SimTime};
 use svr_transport::http::{HttpClient, HttpEvent};
@@ -84,6 +84,12 @@ pub struct ClientApp {
     pub control_server: NodeId,
     /// Motion synthesizer (public so experiments can script it).
     pub motion: MotionState,
+    /// The last avatar tick's synthesised pose and velocities, and the
+    /// update delta-selected from them: kept so that every tick reuses
+    /// their storage.
+    pose: Pose,
+    pose_velocities: Vec<Vec3>,
+    update: AvatarUpdate,
 
     phase: Phase,
     data: DataChannel,
@@ -150,6 +156,18 @@ impl ClientApp {
         spawn: Vec3,
         heading: f32,
     ) -> Self {
+        let hz = cfg.avatar_tick_hz;
+        assert!(hz.is_finite() && hz > 0.0, "avatar_tick_hz must be finite and positive, got {hz}");
+        for (field, hz) in [
+            ("status_rate_hz", cfg.status_rate_hz),
+            ("telemetry_rate_hz", cfg.telemetry_rate_hz),
+            ("voice_frame_hz", cfg.voice_frame_hz),
+        ] {
+            assert!(
+                hz.is_finite() && hz >= 0.0,
+                "{field} must be finite and non-negative (0 disables it), got {hz}"
+            );
+        }
         let data_port = 40_000 + user_id as u16;
         ClientApp {
             user_id,
@@ -157,6 +175,15 @@ impl ClientApp {
             data_server,
             control_server,
             motion: MotionState::new(seed ^ 0xA5A5, spawn, heading),
+            pose: Pose::default(),
+            pose_velocities: Vec::new(),
+            update: AvatarUpdate {
+                avatar_id: user_id,
+                tick: 0,
+                pose: Pose::default(),
+                velocities: Vec::new(),
+                precision: cfg.embodiment.precision,
+            },
             phase: Phase::Connecting,
             data: DataChannel::NotOpen,
             control: HttpClient::connect(TcpConfig::default(), 50_000 + user_id as u16, 443, SimTime::ZERO).0,
@@ -369,29 +396,35 @@ impl ClientApp {
 
     // --- internals ---
 
-    fn avatar_body(&mut self, dt: f64) -> Vec<u8> {
-        let (pose, vel) = self.motion.step(dt, &self.cfg.embodiment);
+    fn avatar_body(&mut self, dt: f64) -> Bytes {
+        let e = &self.cfg.embodiment;
+        self.motion.step_into(dt, e, &mut self.pose, &mut self.pose_velocities);
         // Delta selection: platforms ship only the joints that are
         // actually moving (root and head always go, to keep presence
         // alive). A walking avatar sends its full skeleton; a standing
         // one only the idle sway — the motion-driven traffic behind
         // Fig. 3's uplink/downlink matching.
-        let mut joints = Vec::with_capacity(pose.joints.len());
-        let mut vels = Vec::with_capacity(pose.joints.len());
-        for (i, (j, jp)) in pose.joints.iter().enumerate() {
-            let v = vel.get(i).copied().unwrap_or(svr_avatar::Vec3::ZERO);
-            let always = matches!(j, svr_avatar::Joint::Root | svr_avatar::Joint::Head);
-            if always || v.length() > 0.3 {
-                joints.push((*j, *jp));
-                vels.push(v);
+        let update = &mut self.update;
+        update.avatar_id = self.user_id;
+        update.tick = self.avatar_tick;
+        update.precision = e.precision;
+        update.pose.joints.clear();
+        update.velocities.clear();
+        for (&(j, jp), &v) in self.pose.joints.iter().zip(&self.pose_velocities) {
+            if matches!(j, Joint::Root | Joint::Head) || v.length() > 0.3 {
+                update.pose.joints.push((j, jp));
+                if e.velocities {
+                    update.velocities.push(v);
+                }
             }
         }
-        let pose = svr_avatar::Pose { joints, blendshapes: pose.blendshapes };
-        let update = make_update(self.user_id, self.avatar_tick, &self.cfg.embodiment, pose, vels);
+        update.pose.blendshapes.clone_from(&self.pose.blendshapes);
         self.avatar_tick += 1;
-        let mut body = encode_update(&update).to_vec();
-        body.resize(body.len() + self.cfg.avatar_envelope_bytes, 0);
-        body
+        let envelope = self.cfg.avatar_envelope_bytes;
+        let mut body = BytesMut::with_capacity(encoded_len(update) + envelope);
+        encode_update_into(update, &mut body);
+        body.put_bytes(0, envelope);
+        body.freeze()
     }
 
     /// Send (or gate) a data-channel message.
@@ -453,30 +486,23 @@ impl ClientApp {
     fn handle_data_msg(&mut self, now: SimTime, kind: MsgKind, body: &[u8], events: &mut Vec<ClientEvent>) {
         match kind {
             MsgKind::Avatar => {
-                if let Ok(update) = decode_update(body) {
-                    match self.peers.iter_mut().find(|(id, _)| *id == update.avatar_id) {
+                if let Ok(anchor) = read_anchor(body) {
+                    let from = anchor.avatar_id;
+                    match self.peers.iter_mut().find(|(id, _)| *id == from) {
                         Some(p) => p.1 = now,
-                        None => self.peers.push((update.avatar_id, now)),
+                        None => self.peers.push((from, now)),
                     }
-                    events.push(ClientEvent::AvatarReceived {
-                        from: update.avatar_id,
-                        tick: update.tick,
-                    });
+                    events.push(ClientEvent::AvatarReceived { from, tick: anchor.tick });
                     // Dead reckoning: measure how far the extrapolated
-                    // pose had drifted, then re-anchor (§8.2).
-                    let reckoner = match self
-                        .reckoners
-                        .iter_mut()
-                        .find(|(id, _)| *id == update.avatar_id)
-                    {
+                    // anchor had drifted, then re-anchor (§8.2).
+                    let reckoner = match self.reckoners.iter_mut().find(|(id, _)| *id == from) {
                         Some((_, r)) => r,
                         None => {
-                            self.reckoners
-                                .push((update.avatar_id, svr_avatar::DeadReckoner::new()));
+                            self.reckoners.push((from, svr_avatar::DeadReckoner::new()));
                             &mut self.reckoners.last_mut().unwrap().1
                         }
                     };
-                    reckoner.observe(now, update);
+                    reckoner.observe(now, anchor);
                 }
             }
             MsgKind::Voice => {
@@ -651,7 +677,7 @@ impl ClientApp {
                 let tick = self.avatar_tick;
                 let body = self.avatar_body(0.0);
                 events.push(ClientEvent::ActionSent { action_id: id, tick, performed_at: performed });
-                self.send_data(now, MsgKind::Avatar, Bytes::from(body), out);
+                self.send_data(now, MsgKind::Avatar, body, out);
             }
         }
 
@@ -660,7 +686,7 @@ impl ClientApp {
         if now >= self.next_avatar {
             self.next_avatar = now + avatar_interval;
             let body = self.avatar_body(avatar_interval.as_secs_f64());
-            self.send_data(now, MsgKind::Avatar, Bytes::from(body), out);
+            self.send_data(now, MsgKind::Avatar, body, out);
         }
 
         // Voice frames (when unmuted).
@@ -705,6 +731,7 @@ impl ClientApp {
 mod tests {
     use super::*;
     use crate::config::PlatformId;
+    use svr_avatar::codec::{encode_update, make_update};
 
     fn nodes() -> (NodeId, NodeId, NodeId) {
         let mut net = svr_netsim::Network::new(0);
@@ -880,6 +907,97 @@ mod tests {
         // No recovery: still frozen later.
         a.on_tick(SimTime::from_secs(100));
         assert!(a.is_frozen());
+    }
+
+    /// The avatar body built anew: a fresh step, delta selection
+    /// into new vectors, `make_update`, the encoded bytes copied out, then
+    /// the envelope's zeros.
+    fn reference_body(m: &mut MotionState, cfg: &PlatformConfig, tick: u32, dt: f64) -> Vec<u8> {
+        let (pose, vel) = m.step(dt, &cfg.embodiment);
+        let (mut joints, mut vels) = (Vec::new(), Vec::new());
+        for (i, (j, jp)) in pose.joints.iter().enumerate() {
+            let v = vel.get(i).copied().unwrap_or(Vec3::ZERO);
+            if matches!(j, Joint::Root | Joint::Head) || v.length() > 0.3 {
+                joints.push((*j, *jp));
+                vels.push(v);
+            }
+        }
+        let pose = Pose { joints, blendshapes: pose.blendshapes };
+        let mut body = encode_update(&make_update(1, tick, &cfg.embodiment, pose, vels)).to_vec();
+        body.resize(body.len() + cfg.avatar_envelope_bytes, 0);
+        body
+    }
+
+    #[test]
+    fn avatar_body_matches_a_fresh_encode_and_envelope() {
+        for id in PlatformId::ALL {
+            let cfg = PlatformConfig::of(id);
+            let mut a = app(cfg.clone());
+            // The app's own motion seed and spawn (see `app`).
+            let mut m = MotionState::new(42 ^ 0xA5A5, Vec3::ZERO, 0.0);
+            let mut sizes = Vec::new();
+            for k in 0..150u32 {
+                // Walk (whole skeleton moving), stand (root and head
+                // only), then wander; every ninth body is a zero-dt
+                // marked action.
+                for m in [&mut a.motion, &mut m] {
+                    match k {
+                        0 => m.walk_to(Vec3::new(5.0, 0.0, 5.0)),
+                        50 => m.stand(),
+                        100 => m.wander(),
+                        _ => {}
+                    }
+                }
+                let dt = if k % 9 == 0 { 0.0 } else { 1.0 / cfg.avatar_tick_hz };
+                let want = reference_body(&mut m, &cfg, k, dt);
+                let got = a.avatar_body(dt);
+                assert_eq!(got.as_slice(), want.as_slice(), "{id:?} tick {k}");
+                sizes.push(got.len());
+            }
+            sizes.sort_unstable();
+            sizes.dedup();
+            assert!(sizes.len() >= 2, "{id:?}: delta selection never changed the joint set");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "avatar_tick_hz must be finite and positive, got 0")]
+    fn zero_avatar_rate_is_rejected() {
+        let mut cfg = PlatformConfig::vrchat();
+        cfg.avatar_tick_hz = 0.0;
+        app(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "avatar_tick_hz must be finite and positive, got inf")]
+    fn infinite_avatar_rate_is_rejected() {
+        let mut cfg = PlatformConfig::worlds();
+        cfg.avatar_tick_hz = f64::INFINITY;
+        app(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "status_rate_hz must be finite and non-negative (0 disables it), got -1")]
+    fn negative_status_rate_is_rejected() {
+        let mut cfg = PlatformConfig::vrchat();
+        cfg.status_rate_hz = -1.0;
+        app(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "telemetry_rate_hz must be finite and non-negative (0 disables it), got NaN")]
+    fn nan_telemetry_rate_is_rejected() {
+        let mut cfg = PlatformConfig::worlds();
+        cfg.telemetry_rate_hz = f64::NAN;
+        app(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "voice_frame_hz must be finite and non-negative (0 disables it), got inf")]
+    fn infinite_voice_rate_is_rejected() {
+        let mut cfg = PlatformConfig::recroom();
+        cfg.voice_frame_hz = f64::INFINITY;
+        app(cfg);
     }
 
     #[test]

@@ -534,17 +534,12 @@ impl DataServer {
         }
         match kind {
             MsgKind::Avatar => {
-                // Track the sender's pose for viewport decisions.
-                if let Ok(update) = svr_avatar::codec::decode_update(&body) {
-                    let pos = update.pose.root_position();
-                    let heading = update
-                        .pose
-                        .joint(svr_avatar::Joint::Root)
-                        .or_else(|| update.pose.joint(svr_avatar::Joint::Head))
-                        .map(|jp| {
-                            2.0 * jp.rotation.y.atan2(jp.rotation.w).to_degrees()
-                        })
-                        .unwrap_or(0.0)
+                // Track the sender's anchor for viewport decisions.
+                if let Ok(anchor) = svr_avatar::codec::read_anchor(&body) {
+                    let pos = anchor.position();
+                    let heading = anchor
+                        .joint
+                        .map_or(0.0, |jp| 2.0 * jp.rotation.y.atan2(jp.rotation.w).to_degrees())
                         .rem_euclid(360.0);
                     if let Some(u) = self.users.get_mut(&from_user) {
                         // `!=` is false only for bit-equal non-NaN

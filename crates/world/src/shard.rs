@@ -302,10 +302,10 @@ impl RoomShard {
             let user_id = residents[pick];
             self.avatar_tick += 1;
             let avatar_tick = self.avatar_tick;
-            let embodiment = self.pcfg.embodiment.clone();
+            let embodiment = &self.pcfg.embodiment;
             let slot = self.clients.get_mut(&user_id).expect("resident has a slot");
-            let (pose, vel) = slot.motion.step(cfg.shard_dt.as_secs_f64(), &embodiment);
-            let body = encode_update(&make_update(user_id, avatar_tick, &embodiment, pose, vel));
+            let (pose, vel) = slot.motion.step(cfg.shard_dt.as_secs_f64(), embodiment);
+            let body = encode_update(&make_update(user_id, avatar_tick, embodiment, pose, vel));
             if let Some(p) = slot.channel.send(MsgKind::Avatar, t, &body) {
                 self.net.send(self.client_node, self.server_node, p);
                 *messages += 1;

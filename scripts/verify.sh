@@ -3,7 +3,7 @@
 # workspace has zero external dependencies and must keep building with
 # an empty cargo registry and no network.
 #
-#   scripts/verify.sh          # full gate: build + tests + unit tests + clippy + lint + examples + perfbench (self-tests, pinned digests) + pinned artifacts
+#   scripts/verify.sh          # full gate: build + tests + unit tests + clippy + lint + examples + perfbench (self-tests, clippy, pinned digests) + pinned artifacts
 #   scripts/verify.sh --fast   # skip the artifact run
 
 set -euo pipefail
@@ -49,6 +49,10 @@ done
 # is not a workspace member, so the steps above never compile it.
 echo "==> bench: perfbench self-tests"
 CARGO_TARGET_DIR=.bench_build cargo test -q --manifest-path perfbench/Cargo.toml
+
+# `cargo clippy --workspace` skips perfbench for the same reason.
+echo "==> bench: cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings"
+CARGO_TARGET_DIR=.bench_build cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Each listed workload's digest covers the simulated statistics of its
 # set-up, so it is the same on every host and for any --seconds; a
